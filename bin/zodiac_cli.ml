@@ -80,10 +80,9 @@ let cache_dir_arg =
     & info [ "cache-dir" ] ~docv:"DIR"
         ~doc:
           "Warm-start cache directory. Cold runs write corpus, \
-           knowledge-base and mined-candidate artifacts there; warm runs \
-           with the same parameters load them (byte-identical results), \
-           and growing --projects extends the cached corpus \
-           incrementally.")
+           knowledge-base and mined-candidate artifacts there, plus the \
+           counting checkpoint of every mined shard; warm runs with the \
+           same parameters load them (byte-identical results).")
 
 let no_cache_arg =
   Arg.(
@@ -181,8 +180,8 @@ let shard_size_arg =
            materializing it whole: bounded memory for very large \
            --projects counts, with each completed shard checkpointed \
            through the warm-start cache so a killed run resumes. 0 \
-           (default) runs the monolithic path. Results are \
-           byte-identical for every value.")
+           (default) mines one shard over the in-memory corpus. Results \
+           are byte-identical for every value.")
 
 let workers_arg =
   Arg.(

@@ -41,7 +41,6 @@ type t = {
   mutable last : Program.t option;  (** program of the latest faulted call *)
   mutable consecutive : int;
   mutable injected : int;
-  tally : (kind, int) Hashtbl.t;
 }
 
 let create ~provider ?rules ?(quota = Quota.unlimited) config =
@@ -59,7 +58,6 @@ let create ~provider ?rules ?(quota = Quota.unlimited) config =
     last = None;
     consecutive = 0;
     injected = 0;
-    tally = Hashtbl.create 4;
   }
 
 let same_program t prog =
@@ -75,8 +73,6 @@ let deploy t prog =
     t.consecutive <- (if same_program t prog then t.consecutive + 1 else 1);
     t.last <- Some prog;
     t.injected <- t.injected + 1;
-    Hashtbl.replace t.tally kind
-      (1 + Option.value ~default:0 (Hashtbl.find_opt t.tally kind));
     Fault { kind; phase = kind_phase kind; retry_after = retry_after kind }
   end
   else begin
@@ -86,8 +82,3 @@ let deploy t prog =
   end
 
 let injected t = t.injected
-
-let injected_by_kind t =
-  List.map
-    (fun kind -> (kind, Option.value ~default:0 (Hashtbl.find_opt t.tally kind)))
-    [ Throttled; Timeout; Polling_flake; Quota_race ]

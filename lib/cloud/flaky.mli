@@ -71,5 +71,3 @@ val deploy : t -> Zodiac_iac.Program.t -> response
 val injected : t -> int
 (** Total faults injected so far. *)
 
-val injected_by_kind : t -> (kind * int) list
-(** Injection tally per fault kind (all four kinds listed). *)

@@ -85,14 +85,13 @@ let dedup_checks checks =
     checks
 
 (* ---- staged execution ----------------------------------------------
-   Every Figure-2 phase is either a [Stage.t] run through [Stage.run]
-   (corpus, KB stats, mined candidates — the cacheable artifacts, keyed
-   by a fingerprint of everything they depend on, with the incremental
-   shrink/extend hooks from the warm-start design) or a plain telemetry
-   span (materialize, filter, oracle, validate, counterexample — pure
-   compute). The runner applies warm-cache lookup/write, job plumbing
-   and per-stage counters uniformly; artifacts stay byte-identical to
-   the hand-wired paths for every [jobs] value and cold ≡ warm. *)
+   The cacheable Figure-2 artifacts (corpus, KB statistics, mined
+   candidates) are [Stage.t]s run through [Stage.run], each keyed by a
+   fingerprint of everything it depends on; the rest (materialize,
+   filter, oracle, validate, counterexample) are plain telemetry spans.
+   The runner applies warm-cache lookup/write, job plumbing and
+   per-stage counters uniformly; artifacts are byte-identical for every
+   [jobs] value and cold ≡ warm. *)
 
 let cache_of config = Option.map (fun dir -> Cache.create ~dir ()) config.cache_dir
 
@@ -116,8 +115,25 @@ let corpus_key config =
       float_bits config.violation_rate;
     ]
 
-let take n xs = List.filteri (fun i _ -> i < n) xs
-let drop n xs = List.filteri (fun i _ -> i >= n) xs
+(* The materialized-corpus identity: corpus content key plus size. *)
+let tables_key config =
+  Codec.fingerprint [ corpus_key config; string_of_int config.corpus_size ]
+
+(* The mined-candidate-set address. *)
+let mine_key config =
+  Codec.fingerprint
+    [
+      tables_key config;
+      string_of_bool config.mining.Miner.use_kb;
+      string_of_int config.mining.Miner.min_support;
+    ]
+
+(* Miner-table checkpoints additionally key on the whole-corpus
+   identity (the KB the counts consult) and [use_kb] — but not
+   [min_support], which only gates emission. *)
+let shard_mine_key config =
+  Codec.fingerprint
+    [ tables_key config; string_of_bool config.mining.Miner.use_kb ]
 
 (* A span that also accounts the Parallel chunks scheduled inside it,
    mirroring what [Stage.run] records for cached stages. *)
@@ -129,76 +145,137 @@ let spanned telemetry name f =
         (Parallel.chunks_scheduled () - c0);
       v)
 
-(* Corpus generation: per-index PRNG streams make [generate ~count:n] a
-   strict prefix of [generate ~count:m] for n < m, so a cached corpus
-   shrinks from a larger entry or extends incrementally. *)
+(* Corpus generation, cached at its exact size. *)
 let corpus_stage config =
   let n = config.corpus_size in
-  let generate ~lo ~hi =
-    Generator.generate_range ~provider:config.provider
-      ~violation_rate:config.violation_rate ~jobs:config.jobs
-      ~seed:config.corpus_seed ~lo ~hi ()
-  in
-  Stage.sized ~name:"corpus" ~key:(corpus_key config) ~size:n
-    ~artifact:Generator.projects_artifact
-    ~shrink:(fun ~larger:_ ps -> take n ps)
-    ~extend:(fun ~cached prefix -> prefix @ generate ~lo:cached ~hi:n)
-    (fun ~jobs:_ -> generate ~lo:0 ~hi:n)
+  {
+    Stage.name = "corpus";
+    key = corpus_key config;
+    size = Some n;
+    artifact = Generator.projects_artifact;
+    build =
+      (fun ~cache:_ ~telemetry:_ ~jobs:_ ->
+        Generator.generate_range ~provider:config.provider
+          ~violation_rate:config.violation_rate ~jobs:config.jobs
+          ~seed:config.corpus_seed ~lo:0 ~hi:n ());
+  }
 
 let cached_corpus ?cache ?telemetry config =
   Stage.run ?cache ?telemetry ~jobs:config.jobs (corpus_stage config)
 
-(* KB statistics over the materialized corpus: the raw monoid counts
-   are the cached artifact (load exact size, or merge a count delta
-   over the tail programs into the largest cached prefix); [finalize]
-   derives the canonical KB from whatever the runner returns. *)
-let kb_stage config programs =
-  let jobs = config.jobs in
-  let n = List.length programs in
-  Stage.sized ~name:"kb" ~key:(corpus_key config) ~size:n
-    ~artifact:Kb.stats_artifact
-    ~extend:(fun ~cached stats ->
-      Kb.merge_stats stats (Kb.stats_of_projects ~jobs (drop cached programs)))
-    (fun ~jobs:_ -> Kb.stats_of_projects ~jobs programs)
+(* ---- the mining path -----------------------------------------------
+   Two passes over one shard plan of the corpus, each a [Stage.run]
+   whose build is a checkpointed [Shard_stream.fold]:
 
-let cached_kb ?cache ?telemetry config programs =
-  Kb.finalize ~provider:config.provider
-    (Stage.run ?cache ?telemetry ~jobs:config.jobs (kb_stage config programs))
+     "kb"    fold per-shard KB stats; finalize once at the end.
+     "mine"  fold per-shard miner tables (intra + indexed + inter) with
+             the finalized KB fixed — the inter family's reserved names
+             are a pure function of that KB, so they cannot be derived
+             mid-stream — then emit candidates once.
 
-let prepare ?cache ?(telemetry = Telemetry.null) config =
-  let jobs = config.jobs in
-  let projects = cached_corpus ?cache ~telemetry config in
-  let programs =
-    spanned telemetry "materialize" (fun () ->
-        let programs =
-          Miner.materialize ~provider:config.provider ~jobs
-            (List.map (fun p -> p.Generator.program) projects)
-        in
-        Telemetry.count telemetry "materialize.programs" (List.length programs);
-        programs)
+   Callers differ only in [load] and the shard size: [mine_only] and
+   [run] hand over the corpus they already materialized as a single
+   shard; [mine_streamed] generates and materializes each shard on
+   demand, so peak memory is one shard plus the accumulated tables.
+   Per-shard checkpoints live under their own stage namespaces
+   ("shard-kb"/"shard-mine") keyed on corpus identity and range, never
+   on [min_support]: a killed run resumes by re-counting only
+   unfinished shards, and re-mining at another [min_support] counts
+   nothing. The final artifacts are byte-identical for every shard
+   size by the monoid contract, so every caller shares the "kb"/"mine"
+   addresses. *)
+
+type mproc = {
+  m_workers : int;
+  m_claimed : int;
+  m_built : int;
+  m_stolen : int;
+  m_waits : int;
+  m_failed : int;
+}
+
+let no_fleet =
+  {
+    m_workers = 0;
+    m_claimed = 0;
+    m_built = 0;
+    m_stolen = 0;
+    m_waits = 0;
+    m_failed = 0;
+  }
+
+(* [Shard_stream.fold] with the first shard's counted value as the
+   accumulator, so a one-shard plan merges (and copies) nothing. *)
+let fold_shards ?cache ~telemetry ?on_shard ~stage ~key ~write ~read ~load
+    ~count ~merge ~total ~shard_size () =
+  let acc, outcome =
+    Shard_stream.fold ?cache ~telemetry ?on_shard ~stage ~key ~write ~read
+      ~load ~count
+      ~merge:(fun acc v ->
+        Some (match acc with None -> v | Some a -> merge a v))
+      ~init:None ~total ~shard_size ()
   in
-  let corpus =
-    List.map2 (fun p prog -> (p.Generator.pname, prog)) projects programs
+  ((match acc with Some a -> a | None -> count []), outcome)
+
+(* Each pass returns its artifact, its fold accounting
+   ([Shard_stream.no_shards] on a warm hit) and what [fleet] reported.
+   [fleet] runs before the fold, so never on a warm hit. *)
+let kb_pass ?cache ~telemetry ?(fleet = fun ~telemetry:_ -> no_fleet)
+    ?on_shard config ~load ~shard_size =
+  let fold = ref Shard_stream.no_shards and mproc = ref no_fleet in
+  let key = corpus_key config in
+  let stats =
+    Stage.run ?cache ~telemetry ~jobs:config.jobs
+      {
+        Stage.name = "kb";
+        key;
+        size = Some config.corpus_size;
+        artifact = Kb.stats_artifact;
+        build =
+          (fun ~cache ~telemetry ~jobs ->
+            mproc := fleet ~telemetry;
+            let stats, outcome =
+              fold_shards ?cache ~telemetry ?on_shard ~stage:"shard-kb" ~key
+                ~write:Kb.write_stats ~read:Kb.read_stats ~load
+                ~count:(Kb.stats_of_projects ~jobs) ~merge:Kb.merge_stats
+                ~total:config.corpus_size ~shard_size ()
+            in
+            fold := outcome;
+            stats);
+      }
   in
-  let kb = cached_kb ?cache ~telemetry config programs in
-  (projects, corpus, kb, programs)
+  (Kb.finalize ~provider:config.provider stats, !fold, !mproc)
 
-(* The materialized-corpus identity: corpus content key plus size. *)
-let tables_key config =
-  Codec.fingerprint [ corpus_key config; string_of_int config.corpus_size ]
+let mine_pass ?cache ~telemetry ?(fleet = fun ~telemetry:_ -> no_fleet)
+    ?on_shard config kb ~load ~shard_size =
+  let fold = ref Shard_stream.no_shards and mproc = ref no_fleet in
+  let mined =
+    Stage.run ?cache ~telemetry ~jobs:config.jobs
+      {
+        Stage.name = "mine";
+        key = mine_key config;
+        size = None;
+        artifact = Candidate.list_artifact;
+        build =
+          (fun ~cache ~telemetry ~jobs ->
+            mproc := fleet ~telemetry;
+            let tables, outcome =
+              fold_shards ?cache ~telemetry ?on_shard ~stage:"shard-mine"
+                ~key:(shard_mine_key config) ~write:Miner.write_tables
+                ~read:Miner.read_tables ~load
+                ~count:
+                  (Miner.count_tables ~provider:config.provider ~jobs
+                     config.mining kb)
+                ~merge:Miner.merge_tables ~total:config.corpus_size
+                ~shard_size ()
+            in
+            fold := outcome;
+            Miner.emit_tables config.mining kb tables);
+      }
+  in
+  (mined, !fold, !mproc)
 
-(* The mined-candidate-set address — shared verbatim by the monolithic
-   and streamed paths so their final artifacts interoperate. *)
-let mine_key config =
-  Codec.fingerprint
-    [
-      tables_key config;
-      string_of_bool config.mining.Miner.use_kb;
-      string_of_int config.mining.Miner.min_support;
-    ]
-
-(* Filter + oracle over mined candidates — pure compute shared by the
-   monolithic and streamed paths. *)
+(* Filter + oracle over mined candidates. *)
 let refine ?(telemetry = Telemetry.null) config mined =
   let filtered =
     spanned telemetry "filter" (fun () ->
@@ -239,20 +316,6 @@ let refine ?(telemetry = Telemetry.null) config mined =
   in
   (filtered, refined, rejected, candidates)
 
-let mine_phase ?cache ?(telemetry = Telemetry.null) config kb programs =
-  let mined_stage =
-    Stage.keyed ~name:"mine" ~key:(mine_key config)
-      ~artifact:Candidate.list_artifact
-      (fun ~jobs:_ ->
-        Miner.mine ~provider:config.provider ~config:config.mining ~telemetry
-          ~jobs:config.jobs
-          ?tables:(Option.map (fun c -> (c, tables_key config)) cache)
-          kb programs)
-  in
-  let mined = Stage.run ?cache ~telemetry ~jobs:config.jobs mined_stage in
-  let filtered, refined, rejected, candidates = refine ~telemetry config mined in
-  (mined, filtered, refined, rejected, candidates)
-
 (* Engine accounting attributed to the enclosing span as counter
    deltas, so validate and counterexample each report their own
    deployments/retries/faults in the trace. *)
@@ -277,9 +340,27 @@ let empty_validation =
 
 let mine_only ?(config = default_config) ?telemetry () =
   let cache = cache_of config in
-  let projects, corpus, kb, programs = prepare ?cache ?telemetry config in
-  let mined, filtered, llm_refined, llm_rejected, candidates =
-    mine_phase ?cache ?telemetry config kb programs
+  let telemetry = Option.value telemetry ~default:Telemetry.null in
+  let projects = cached_corpus ?cache ~telemetry config in
+  let programs =
+    spanned telemetry "materialize" (fun () ->
+        let programs =
+          Miner.materialize ~provider:config.provider ~jobs:config.jobs
+            (List.map (fun p -> p.Generator.program) projects)
+        in
+        Telemetry.count telemetry "materialize.programs" (List.length programs);
+        programs)
+  in
+  let corpus =
+    List.map2 (fun p prog -> (p.Generator.pname, prog)) projects programs
+  in
+  (* The materialized corpus is already in memory: mine it as one
+     shard of itself. *)
+  let load ~lo ~hi = List.filteri (fun i _ -> lo <= i && i < hi) programs in
+  let kb, _, _ = kb_pass ?cache ~telemetry config ~load ~shard_size:0 in
+  let mined, _, _ = mine_pass ?cache ~telemetry config kb ~load ~shard_size:0 in
+  let filtered, llm_refined, llm_rejected, candidates =
+    refine ~telemetry config mined
   in
   {
     config;
@@ -299,43 +380,10 @@ let mine_only ?(config = default_config) ?telemetry () =
   }
 
 (* ---- streaming shard pipeline --------------------------------------
-   The bounded-memory counterpart of [mine_only]: projects are
-   generated, materialized and counted shard by shard, never held whole
-   in memory. Two passes over the same shard stream:
-
-     pass 1 ("kb")    fold per-shard KB stats; finalize once at the end.
-     pass 2 ("mine")  fold per-shard miner tables (intra + indexed +
-                      inter) with the finalized KB fixed — the inter
-                      family's reserved names are a pure function of
-                      that KB, so they cannot be derived mid-stream.
-
-   Both passes run as [Stage.streamed] at the SAME cache addresses as
-   the monolithic "kb" and "mine" stages (the artifacts are
-   byte-identical by the monoid contract), so a monolithic cache warms
-   a streamed run and vice versa. Per-shard checkpoints live under
-   their own stage namespaces ("shard-kb"/"shard-mine"): a killed run
-   resumes by re-counting only unfinished shards. Peak memory is one
-   shard of materialized programs plus the accumulated tables,
-   independent of [corpus_size]. *)
-
-type mproc = {
-  m_workers : int;
-  m_claimed : int;
-  m_built : int;
-  m_stolen : int;
-  m_waits : int;
-  m_failed : int;
-}
-
-let no_fleet =
-  {
-    m_workers = 0;
-    m_claimed = 0;
-    m_built = 0;
-    m_stolen = 0;
-    m_waits = 0;
-    m_failed = 0;
-  }
+   The bounded-memory counterpart of [mine_only]: the same two passes,
+   but each shard's projects are generated and materialized on demand
+   and dropped once counted, so peak memory is one shard of programs
+   plus the accumulated tables, independent of [corpus_size]. *)
 
 type streamed = {
   s_config : config;
@@ -356,8 +404,7 @@ type streamed = {
 (* One shard of projects, generated and materialized on demand. The
    per-index PRNG streams make a shard's content independent of every
    other shard, so a checkpointed shard stays valid as the corpus
-   grows. [Defaults.effective] is idempotent, so this single
-   materialization equals the monolithic path's. *)
+   grows. *)
 let shard_load config ~lo ~hi =
   Miner.materialize ~provider:config.provider ~jobs:config.jobs
     (List.map
@@ -365,13 +412,6 @@ let shard_load config ~lo ~hi =
        (Generator.generate_range ~provider:config.provider
           ~violation_rate:config.violation_rate ~jobs:config.jobs
           ~seed:config.corpus_seed ~lo ~hi ()))
-
-(* Miner-table checkpoints additionally key on the whole-corpus
-   identity (the KB the counts consult) and [use_kb] — but not
-   [min_support], which only gates emission. *)
-let shard_mine_key config =
-  Codec.fingerprint
-    [ tables_key config; string_of_bool config.mining.Miner.use_kb ]
 
 (* ---- multi-process worker fleet ------------------------------------
    [mine --workers N] forks N children (a re-exec of the current
@@ -492,27 +532,10 @@ let mine_worker ?(config = default_config) ?telemetry ?stale_after ~shard_size
         ~count:(Kb.stats_of_projects ~jobs) ~total:n ~shard_size ()
   | `Mine ->
       (* The mine pass needs the finalized whole-corpus KB. By the time
-         the parent spawns mine workers the KB pass is complete, so
-         either the final sized artifact or the full checkpoint set is
-         in the shared cache — folding the latter re-counts nothing. *)
-      let kb =
-        match
-          Cache.find ~size:n cache ~stage:"kb" ~key:(corpus_key config)
-            Kb.read_stats
-        with
-        | Some stats -> Kb.finalize ~provider:config.provider stats
-        | None ->
-            let stats, _ =
-              Shard_stream.fold ~cache ~telemetry ~stage:"shard-kb"
-                ~key:(corpus_key config) ~write:Kb.write_stats
-                ~read:Kb.read_stats ~load
-                ~count:(Kb.stats_of_projects ~jobs)
-                ~merge:Kb.merge_stats
-                ~init:(Kb.stats_of_projects ~jobs [])
-                ~total:n ~shard_size ()
-            in
-            Kb.finalize ~provider:config.provider stats
-      in
+         the parent spawns mine workers its KB pass is complete, so the
+         KB pass here loads the final artifact (or resumes every
+         checkpoint) and counts nothing. *)
+      let kb, _, _ = kb_pass ~cache ~telemetry config ~load ~shard_size in
       Shard_stream.fold_worker ~cache ~telemetry ?stale_after
         ~stage:"shard-mine" ~key:(shard_mine_key config)
         ~write:Miner.write_tables ~load
@@ -523,8 +546,6 @@ let mine_streamed ?(config = default_config) ?telemetry ?(workers = 1)
     ?worker_command ?progress ~shard_size () =
   let telemetry = Option.value telemetry ~default:Telemetry.null in
   let cache = cache_of config in
-  let jobs = config.jobs in
-  let n = config.corpus_size in
   (* Bounded-memory mode trades a little GC CPU for a flat footprint:
      shard churn under the default pacing (space_overhead 120) lets the
      heap balloon to several times the live set, which is exactly the
@@ -539,59 +560,19 @@ let mine_streamed ?(config = default_config) ?telemetry ?(workers = 1)
       (fun f ~index ~shards ~built -> f ~pass ~index ~shards ~built)
       progress
   in
-  let kb_fold = ref Shard_stream.no_shards in
-  let kb_mproc = ref no_fleet in
-  let kb_stats_stage =
-    (* Shard checkpoints key on corpus identity + range only (no total
-       size): a shard counted during a 10k-project run resumes a later
-       100k-project run unchanged. *)
-    Stage.streamed ~name:"kb" ~key:(corpus_key config) ~size:n
-      ~artifact:Kb.stats_artifact
-      (fun ~cache ~telemetry ~jobs ->
-        (* Fleet first (workers checkpoint every shard into the shared
-           cache), then the resumed fold below merges them in shard
-           order — and rebuilds any shard the fleet left behind. A warm
-           final-artifact hit never reaches this point, so no workers
-           spawn on warm runs. *)
-        kb_mproc :=
-          run_fleet ~telemetry ~pass:"kb" ~workers ~worker_command;
-        let stats, outcome =
-          Shard_stream.fold ?cache ~telemetry ?on_shard:(on_shard "kb")
-            ~stage:"shard-kb" ~key:(corpus_key config) ~write:Kb.write_stats
-            ~read:Kb.read_stats ~load
-            ~count:(Kb.stats_of_projects ~jobs)
-            ~merge:Kb.merge_stats
-            ~init:(Kb.stats_of_projects ~jobs [])
-            ~total:n ~shard_size ()
-        in
-        kb_fold := outcome;
-        stats)
+  (* Fleet first (workers checkpoint every shard into the shared cache),
+     then the pass's resumed fold merges them in shard order — and
+     rebuilds any shard the fleet left behind. A warm final-artifact
+     hit never reaches the fleet, so no workers spawn on warm runs. *)
+  let fleet pass ~telemetry = run_fleet ~telemetry ~pass ~workers ~worker_command in
+  let kb, kb_fold, kb_mproc =
+    kb_pass ?cache ~telemetry ~fleet:(fleet "kb") ?on_shard:(on_shard "kb")
+      config ~load ~shard_size
   in
-  let kb =
-    Kb.finalize ~provider:config.provider
-      (Stage.run ?cache ~telemetry ~jobs kb_stats_stage)
+  let mined, mine_fold, mine_mproc =
+    mine_pass ?cache ~telemetry ~fleet:(fleet "mine")
+      ?on_shard:(on_shard "mine") config kb ~load ~shard_size
   in
-  let mine_fold = ref Shard_stream.no_shards in
-  let mine_mproc = ref no_fleet in
-  let mined_stage =
-    Stage.streamed ~name:"mine" ~key:(mine_key config)
-      ~artifact:Candidate.list_artifact
-      (fun ~cache ~telemetry ~jobs ->
-        mine_mproc :=
-          run_fleet ~telemetry ~pass:"mine" ~workers ~worker_command;
-        let tables, outcome =
-          Shard_stream.fold ?cache ~telemetry ?on_shard:(on_shard "mine")
-            ~stage:"shard-mine" ~key:(shard_mine_key config)
-            ~write:Miner.write_tables ~read:Miner.read_tables ~load
-            ~count:(Miner.count_tables ~provider:config.provider ~jobs config.mining kb)
-            ~merge:Miner.merge_tables
-            ~init:(Miner.count_tables ~provider:config.provider ~jobs config.mining kb [])
-            ~total:n ~shard_size ()
-        in
-        mine_fold := outcome;
-        Miner.emit_tables config.mining kb tables)
-  in
-  let mined = Stage.run ?cache ~telemetry ~jobs mined_stage in
   let filtered, llm_refined, llm_rejected, candidates =
     refine ~telemetry config mined
   in
@@ -604,20 +585,17 @@ let mine_streamed ?(config = default_config) ?telemetry ?(workers = 1)
     s_llm_refined = llm_refined;
     s_llm_rejected = llm_rejected;
     s_candidates = candidates;
-    s_kb_fold = !kb_fold;
-    s_mine_fold = !mine_fold;
-    s_kb_mproc = !kb_mproc;
-    s_mine_mproc = !mine_mproc;
+    s_kb_fold = kb_fold;
+    s_mine_fold = mine_fold;
+    s_kb_mproc = kb_mproc;
+    s_mine_mproc = mine_mproc;
     s_cache_stats = cache_stats_of cache;
   }
 
 let run ?(config = default_config) ?telemetry () =
-  let cache = cache_of config in
   let telemetry = Option.value telemetry ~default:Telemetry.null in
-  let projects, corpus, kb, programs = prepare ?cache ~telemetry config in
-  let mined, filtered, llm_refined, llm_rejected, candidates =
-    mine_phase ?cache ~telemetry config kb programs
-  in
+  let m = mine_only ~config ~telemetry () in
+  let { kb; corpus; candidates; _ } = m in
   let engine =
     Engine.create ~provider:config.provider ~config:config.engine ()
   in
@@ -644,20 +622,11 @@ let run ?(config = default_config) ?telemetry () =
             (kept, exposed)))
   in
   {
-    config;
-    projects;
-    corpus;
-    kb;
-    mined;
-    filtered;
-    llm_refined;
-    llm_rejected;
-    candidates;
+    m with
     validation;
     final_checks;
     counterexample_fps;
     engine_stats = Engine.stats engine;
-    cache_stats = cache_stats_of cache;
   }
 
 type violation_report = {

@@ -23,12 +23,13 @@ type config = {
   cache_dir : string option;
       (** warm-start cache directory ([None] = caching off, the
           default). Cold runs write corpus, KB-statistics and
-          mined-candidate entries there; warm runs load them — or, when
-          only [corpus_size] grew, extend the largest cached prefix
-          incrementally — with byte-identical artifacts. Keys cover the
-          stage inputs (provider fingerprint, seed, violation-rate bits,
-          corpus size, mining config) and the {!Zodiac_util.Codec.version}; anything stale
-          or corrupt decodes as a miss and the stage rebuilds cold. *)
+          mined-candidate entries there, plus the KB and miner-table
+          checkpoints of each counted shard; warm runs load them with
+          byte-identical artifacts. Keys cover the stage inputs
+          (provider fingerprint, seed, violation-rate bits, corpus
+          size, mining config) and the {!Zodiac_util.Codec.version};
+          anything stale or corrupt decodes as a miss and the stage
+          rebuilds cold. *)
   mining : Zodiac_mining.Miner.config;
   thresholds : Zodiac_mining.Filter.thresholds;
   scheduler : Zodiac_validation.Scheduler.config;
@@ -86,7 +87,10 @@ val run :
 val mine_only :
   ?config:config -> ?telemetry:Zodiac_util.Telemetry.t -> unit -> artifacts
 (** Stop after filtering and interpolation (validation left empty);
-    much faster, used by mining-phase experiments. *)
+    much faster, used by mining-phase experiments. The materialized
+    corpus is mined as a single shard of the streaming pipeline below,
+    so with a cache, re-mining at another [min_support] resumes the
+    miner-table checkpoint and counts nothing. *)
 
 val corpus_key : config -> string
 (** Content address of the generated corpus (seed and violation rate;
@@ -105,10 +109,10 @@ val corpus_key : config -> string
     once complete), then the miner-table fold with the finalized KB
     fixed. Each completed shard checkpoints through the warm-start
     cache (stages ["shard-kb"]/["shard-mine"]), so a killed run resumes
-    by re-counting only unfinished shards; the final artifacts land at
-    the {e same} cache addresses as the monolithic ["kb"]/["mine"]
-    stages and are byte-identical to them for every shard size and
-    [jobs] value. *)
+    by re-counting only unfinished shards. {!mine_only} runs the same
+    two passes over its in-memory corpus as one shard, so the final
+    artifacts land at the {e same} ["kb"]/["mine"] cache addresses and
+    are byte-identical for every shard size and [jobs] value. *)
 
 type mproc = {
   m_workers : int;  (** worker processes spawned for the pass *)
@@ -168,7 +172,7 @@ val mine_streamed :
     the merge pass — combining the per-shard monoid checkpoints in
     shard order and rebuilding inline anything a killed worker left
     unfinished. Artifacts are byte-identical to [workers = 1] and to
-    the monolithic path for every [(workers, jobs, shard_size)]
+    {!mine_only} for every [(workers, jobs, shard_size)]
     combination; fleets never spawn when the pass's final artifact is
     already cached. Fleet accounting lands in [s_kb_mproc]/
     [s_mine_mproc] and in [mproc.*] telemetry counters under the
@@ -191,9 +195,10 @@ val mine_worker :
     raises [Invalid_argument] without one) until every shard of the
     plan is checkpointed, claiming each through the cache's claim
     files; [stale_after] bounds how long a dead sibling's claim can
-    block a shard. The [`Mine] pass loads the finalized KB from the
-    shared cache (final artifact or checkpoint fold — complete by the
-    time the parent spawns mine workers). Returns this worker's
+    block a shard. The [`Mine] pass first runs the KB pass against the
+    shared cache, which loads the final artifact or resumes every
+    checkpoint (both complete by the time the parent spawns mine
+    workers). Returns this worker's
     claim/build accounting; it never merges and never writes final
     artifacts. *)
 
@@ -212,11 +217,9 @@ val cached_corpus :
   ?telemetry:Zodiac_util.Telemetry.t ->
   config ->
   Zodiac_corpus.Generator.project list
-(** The corpus-generation stage on its own: load the exact cached
-    corpus, take a prefix of a larger one, or extend the largest cached
-    prefix with freshly generated tail projects (per-index PRNG streams
-    make the result identical to a cold generation either way). Used by
-    the CLI [corpus] command; [cache = None] just generates. *)
+(** The corpus-generation stage on its own: load the cached corpus of
+    exactly [config.corpus_size] projects, or generate it and store it.
+    Used by the CLI [corpus] command; [cache = None] just generates. *)
 
 type violation_report = {
   project : string;

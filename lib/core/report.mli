@@ -12,14 +12,6 @@ val category_breakdown : Zodiac_spec.Check.t list -> (string * int) list
 val checks_listing : ?limit:int -> Zodiac_spec.Check.t list -> string
 (** Pretty-printed checks, one per line. *)
 
-val engine_summary : Pipeline.artifacts -> string
-(** Deployment-engine accounting: attempts, retries, faults seen,
-    cache hits, deployments saved. *)
-
-val cache_summary : Pipeline.artifacts -> string
-(** One line of warm-start cache accounting (or a hint that caching is
-    off). *)
-
 val stats_section : ?telemetry:Zodiac_util.Telemetry.t -> Pipeline.artifacts -> string
 (** The "Run statistics" section: cache accounting, the per-stage
     telemetry table (when a recorder with spans is given), the engine

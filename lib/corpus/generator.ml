@@ -55,10 +55,9 @@ let generate_range ~provider ?(violation_rate = 0.04) ?jobs ~seed ~lo ~hi () =
   (* Each project gets its own generator derived from [(seed, index)], so
      projects are independent work items: the corpus is identical whether
      they are built sequentially, across domains, or — because indices
-     below [lo] are never touched — as an extension of a shorter corpus
-     under the same seed. corpus(seed, n) is a strict prefix of
-     corpus(seed, m) for n < m, which is what the warm-start cache's
-     incremental path relies on. *)
+     below [lo] are never touched — one shard at a time. corpus(seed, n)
+     is a strict prefix of corpus(seed, m) for n < m, which is what lets
+     a shard checkpoint resume a run over a larger corpus. *)
   Zodiac_util.Parallel.map ?jobs
     (fun i -> generate_one ~provider ~violation_rate (Prng.derive seed i) i)
     (List.init (max 0 (hi - lo)) (fun k -> lo + k))

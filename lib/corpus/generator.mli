@@ -61,8 +61,8 @@ val generate_range :
   project list
 (** Projects [lo, hi) of the corpus [generate ~seed ~count:hi ()] — per-
     index PRNG streams make [generate ~count:n] a strict prefix of
-    [generate ~count:m] for [n < m], so a cached corpus extends
-    incrementally: [cached_prefix @ generate_range ~lo:n ~hi:m ()]. *)
+    [generate ~count:m] for [n < m], so a shard of the corpus can be
+    generated on its own and stays valid as the corpus grows. *)
 
 val write_project : Zodiac_util.Codec.sink -> project -> unit
 (** Binary codec for the warm-start cache; exact inverse of

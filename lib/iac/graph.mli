@@ -53,12 +53,6 @@ val matches_type : type_spec -> string -> bool
 val indegree : t -> Resource.id -> type_spec -> int
 val outdegree : t -> Resource.id -> type_spec -> int
 
-val neighbours_out : t -> Resource.id -> Resource.id list
-(** Distinct resources referenced by the given one. *)
-
-val neighbours_in : t -> Resource.id -> Resource.id list
-(** Distinct resources referencing the given one. *)
-
 val reachable_from : t -> Resource.id -> Resource.id list
 (** Transitive successors, excluding the start node unless on a cycle. *)
 

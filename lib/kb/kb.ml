@@ -182,12 +182,11 @@ let merge_shard dst src =
   dst
 
 (* The public face of [shard]: raw monoid count tables, the unit of
-   incremental KB construction. [stats_of_projects] builds them,
+   sharded KB construction. [stats_of_projects] builds them,
    [merge_stats] adds them (exact integer addition, associative over any
    contiguous grouping of the corpus), [finalize] derives the canonical
-   KB — so stats(prefix) + stats(delta) finalizes identically to
-   stats(prefix @ delta), which is what lets a warm run extend a cached
-   prefix instead of rebuilding. *)
+   KB — so stats(a) + stats(b) finalizes identically to stats(a @ b),
+   which is what lets the KB pass fold checkpointed shards. *)
 type stats = shard
 
 let stats_of_projects ?jobs projects =
@@ -400,11 +399,6 @@ let conn_kinds t = t.conns
 
 let conn_kinds_from t src_type =
   List.filter (fun c -> String.equal c.src_type src_type) t.conns
-
-let conn_kinds_between t src_type dst_type =
-  List.filter
-    (fun c -> String.equal c.src_type src_type && String.equal c.dst_type dst_type)
-    t.conns
 
 let legal_targets t ~src_type ~src_attr =
   List.filter_map

@@ -80,12 +80,11 @@ val max_observed_values : int
 
 type stats
 (** Raw monoid count tables over a corpus slice — the unit of
-    incremental KB construction. Merging is exact integer addition and
+    sharded KB construction. Merging is exact integer addition and
     associative over any contiguous grouping, so
-    [finalize (merge_stats (stats_of_projects prefix) (stats_of_projects delta))]
-    is identical to [finalize (stats_of_projects (prefix @ delta))] —
-    the property the warm-start cache relies on to extend a cached
-    corpus prefix instead of rebuilding. *)
+    [finalize (merge_stats (stats_of_projects a) (stats_of_projects b))]
+    is identical to [finalize (stats_of_projects (a @ b))] — the
+    property the KB pass relies on to fold checkpointed shards. *)
 
 val stats_of_projects : ?jobs:int -> Zodiac_iac.Program.t list -> stats
 
@@ -123,8 +122,6 @@ val enum_values : t -> rtype:string -> attr:string -> Zodiac_iac.Value.t list
 val conn_kinds : t -> conn_kind list
 val conn_kinds_from : t -> string -> conn_kind list
 (** Connection kinds whose source is the given type. *)
-
-val conn_kinds_between : t -> string -> string -> conn_kind list
 
 val legal_targets : t -> src_type:string -> src_attr:string -> (string * string) list
 (** Class 3: legal (dst type, dst attr) targets of an endpoint. *)

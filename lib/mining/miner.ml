@@ -10,8 +10,6 @@ module Provider = Zodiac_provider.Provider
 module Cidr = Zodiac_util.Cidr
 module Parallel = Zodiac_util.Parallel
 module Codec = Zodiac_util.Codec
-module Cache = Zodiac_util.Cache
-module Telemetry = Zodiac_util.Telemetry
 
 type config = { use_kb : bool; min_support : int }
 
@@ -313,25 +311,6 @@ let read_intra s =
   in
   { n_by_type; single; pair; num_range }
 
-(* Run [compute] through the per-shard table cache when one is wired
-   in. [tables] is (store, key of the materialized corpus); [extra]
-   distinguishes table families sharing that corpus. *)
-let cached_tables ?(telemetry = Telemetry.null) tables ~stage ~extra ~write
-    ~read compute =
-  match tables with
-  | None -> compute ()
-  | Some (store, corpus_key) -> (
-      let key = Codec.fingerprint (corpus_key :: extra) in
-      match Cache.find store ~stage ~key read with
-      | Some t ->
-          Telemetry.count telemetry "miner.table_hits" 1;
-          t
-      | None ->
-          Telemetry.count telemetry "miner.table_misses" 1;
-          let t = compute () in
-          Cache.store store ~stage ~key (fun b -> write b t);
-          t)
-
 let merge_intra dst src =
   merge_counts dst.n_by_type src.n_by_type;
   merge_counts dst.single src.single;
@@ -442,13 +421,6 @@ let emit_intra cfg kb { n_by_type; single; pair; num_range } =
       end)
     num_range;
   !out
-
-let mine_intra_families ~provider ?telemetry ?jobs ?tables cfg kb programs =
-  emit_intra cfg kb
-    (cached_tables ?telemetry tables ~stage:"miner-intra"
-       ~extra:[ "intra"; string_of_bool cfg.use_kb ]
-       ~write:write_intra ~read:read_intra (fun () ->
-         count_sharded ?jobs (count_intra provider cfg kb) merge_intra programs))
 
 (* ------------------------------------------------------------------ *)
 (* Indexed (repeated-block) mining                                     *)
@@ -686,12 +658,6 @@ let emit_indexed cfg { eqne; ne; elem_values } =
       end)
     ne;
   !out
-
-let mine_indexed ?telemetry ?jobs ?tables cfg _kb programs =
-  emit_indexed cfg
-    (cached_tables ?telemetry tables ~stage:"miner-idx" ~extra:[ "indexed" ]
-       ~write:write_indexed ~read:read_indexed (fun () ->
-         count_sharded ?jobs count_indexed merge_indexed programs))
 
 (* ------------------------------------------------------------------ *)
 (* Inter-resource mining                                               *)
@@ -1701,12 +1667,6 @@ let emit_inter cfg kb
     deg_max;
   !out
 
-let mine_inter ~provider ?jobs cfg kb programs =
-  emit_inter cfg kb
-    (count_sharded ?jobs
-       (count_inter provider cfg kb (reserved_names_of kb))
-       merge_inter programs)
-
 (* ------------------------------------------------------------------ *)
 (* The tables monoid                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -1765,26 +1725,21 @@ let materialize ~provider ?jobs programs =
         (List.map (Defaults.effective provider) (Program.resources p)))
     programs
 
-let mine_intra ~provider ?(config = default_config) ?telemetry ?jobs ?tables kb
-    programs =
+let mine ~provider ?(config = default_config) ?jobs kb programs =
   let programs = materialize ~provider ?jobs programs in
-  Candidate.dedup
-    (mine_intra_families ~provider ?telemetry ?jobs ?tables config kb programs
-    @ mine_indexed ?telemetry ?jobs ?tables config kb programs)
-
-let mine ~provider ?(config = default_config) ?telemetry ?jobs ?tables kb
-    programs =
-  let programs = materialize ~provider ?jobs programs in
-  Candidate.dedup
-    (mine_intra_families ~provider ?telemetry ?jobs ?tables config kb programs
-    @ mine_indexed ?telemetry ?jobs ?tables config kb programs
-    (* the inter tables depend on KB-derived reserved names, so they are
-       cached one level up, at the mined-candidate-set granularity *)
-    @ mine_inter ~provider ?jobs config kb programs)
+  emit_tables config kb (count_tables ~provider ?jobs config kb programs)
 
 let intra_counts_by_type ~provider ?jobs ~use_kb kb programs =
   let config = { default_config with use_kb } in
-  let candidates = mine_intra ~provider ~config ?jobs kb programs in
+  let programs = materialize ~provider ?jobs programs in
+  let candidates =
+    Candidate.dedup
+      (emit_intra config kb
+         (count_sharded ?jobs (count_intra provider config kb) merge_intra
+            programs)
+      @ emit_indexed config
+          (count_sharded ?jobs count_indexed merge_indexed programs))
+  in
   let by_type = Hashtbl.create 64 in
   List.iter
     (fun (c : Candidate.t) ->

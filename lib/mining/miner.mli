@@ -35,38 +35,25 @@ val materialize :
 val mine :
   provider:Zodiac_provider.Provider.t ->
   ?config:config ->
-  ?telemetry:Zodiac_util.Telemetry.t ->
   ?jobs:int ->
-  ?tables:Zodiac_util.Cache.t * string ->
   Zodiac_kb.Kb.t ->
   Zodiac_iac.Program.t list ->
   Candidate.t list
-(** Run every template family over the corpus; candidates are
-    deduplicated, keeping the highest-support instance, and returned in
-    the canonical (support desc, cid) order. Counting shards across up
-    to [jobs] domains (default: recommended domain count); the result
-    is identical for every [jobs] value.
-
-    [tables] is [(cache, corpus_key)]: when given, the intra and
-    indexed counting tables are loaded from / stored into the cache
-    under a key derived from [corpus_key] (which must identify the
-    materialized corpus, including its size) — re-mining the same
-    corpus under a different [min_support] then skips the counting
-    passes entirely. The inter-family tables depend on KB-derived
-    reserved names and are only cached one level up, as part of the
-    mined candidate set.
-
-    [telemetry] (default {!Zodiac_util.Telemetry.null}) receives
-    [miner.table_hits]/[miner.table_misses] counters, one per counting
-    table family probed through [tables]. *)
+(** Run every template family over the corpus:
+    [emit_tables config kb (count_tables config kb (materialize corpus))].
+    Candidates are deduplicated, keeping the highest-support instance,
+    and returned in the canonical (support desc, cid) order. Counting
+    shards across up to [jobs] domains (default: recommended domain
+    count); the result is identical for every [jobs] value. *)
 
 (** {2 The tables monoid}
 
-    The streamed counterpart of {!mine}: a {!tables} value bundles
-    every counting family's tables as one mergeable unit, so a shard
-    stream can count each shard independently ({!count_tables}), fold
-    the per-shard values in shard order ({!merge_tables}), checkpoint
-    them through the {!Zodiac_util.Cache} codec pair
+    What {!mine} is built from, and the unit the pipeline's mine pass
+    folds: a {!tables} value bundles every counting family's tables as
+    one mergeable unit, so a shard stream can count each shard
+    independently ({!count_tables}), fold the per-shard values in shard
+    order ({!merge_tables}), checkpoint them through the
+    {!Zodiac_util.Cache} codec pair
     ({!write_tables}/{!read_tables}) and emit candidates once from the
     final merged value ({!emit_tables}). Every merge is an exact monoid
     over contiguous groupings — addition, (min, max, sum) or
@@ -108,19 +95,6 @@ val emit_tables : config -> Zodiac_kb.Kb.t -> tables -> Candidate.t list
     kb corpus)] is exactly [mine ~config kb corpus] on a materialized
     corpus, including dedup and canonical order. *)
 
-val mine_intra :
-  provider:Zodiac_provider.Provider.t ->
-  ?config:config ->
-  ?telemetry:Zodiac_util.Telemetry.t ->
-  ?jobs:int ->
-  ?tables:Zodiac_util.Cache.t * string ->
-  Zodiac_kb.Kb.t ->
-  Zodiac_iac.Program.t list ->
-  Candidate.t list
-(** Only the intra-resource families (used by the Figure 7a ablation,
-    which plots per-type intra candidate counts with and without the
-    KB). *)
-
 val intra_counts_by_type :
   provider:Zodiac_provider.Provider.t ->
   ?jobs:int ->
@@ -129,4 +103,6 @@ val intra_counts_by_type :
   Zodiac_iac.Program.t list ->
   (string * int * int) list
 (** Per resource type: (type, attribute count, mined intra
-    candidates). *)
+    candidates) — the intra and indexed families only, counted over the
+    materialized corpus (the Figure 7a ablation plots these with and
+    without the KB). *)

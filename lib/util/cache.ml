@@ -76,22 +76,6 @@ let store ?size t ~stage ~key fill =
 
 let mem ?size t ~stage ~key = Sys.file_exists (path_of t ~stage ~key size)
 
-let sizes t ~stage ~key =
-  let prefix = Printf.sprintf "%s-%s-n" stage key in
-  let plen = String.length prefix in
-  match (try Some (Sys.readdir t.c_dir) with Sys_error _ -> None) with
-  | None -> []
-  | Some files ->
-      Array.to_list files
-      |> List.filter_map (fun f ->
-             if
-               String.length f > plen + 4
-               && String.equal (String.sub f 0 plen) prefix
-               && Filename.check_suffix f ".bin"
-             then int_of_string_opt (String.sub f plen (String.length f - plen - 4))
-             else None)
-      |> List.sort_uniq Int.compare
-
 let stats t =
   {
     hits = t.c_hits;

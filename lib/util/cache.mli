@@ -2,11 +2,9 @@
 
     One directory, one file per entry. An entry is addressed by a
     [stage] name plus a [key] — a {!Codec.fingerprint} of everything
-    the stage's output depends on — and optionally a [size] for stages
-    whose output grows monotonically with corpus size (the corpus
-    itself, KB statistics). Sized entries let a warm run find the
-    largest cached prefix and extend it incrementally instead of
-    rebuilding from scratch.
+    the stage's output depends on — and optionally a [size], which
+    joins the address (the corpus and KB statistics are stored per
+    corpus size under a size-independent key).
 
     Entries are sealed {!Codec} envelopes: a corrupted file, a stale
     codec version or a stage mismatch simply reads back as [None]
@@ -47,11 +45,6 @@ val mem : ?size:int -> t -> stage:string -> key:string -> bool
 (** Whether an entry file exists for [(stage, key, size?)]. Cheap
     (no read, no decode) — the entry may still prove corrupt when
     decoded; only {!find} validates. *)
-
-val sizes : t -> stage:string -> key:string -> int list
-(** Recorded sizes of the sized entries under [(stage, key)], sorted
-    ascending. Decoding may still fail for any of them; callers must
-    treat each size as a hint. *)
 
 val stats : t -> stats
 (** Hit/miss/write counters accumulated on this handle. *)

@@ -42,9 +42,6 @@ val bool : t -> bool
 val chance : t -> float -> bool
 (** [chance t p] is true with probability [p]. *)
 
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
-
 val choose_list : t -> 'a list -> 'a
 (** Uniform element of a non-empty list. *)
 

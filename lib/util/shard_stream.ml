@@ -54,8 +54,11 @@ let fold ?cache ?(telemetry = Telemetry.null) ?on_shard ~stage ~key ~write
             (* The shard's projects and private tables are garbage now;
                compacting keeps the heap at the live set so peak RSS
                tracks one shard plus the accumulator, not fifty shards
-               of churn. Results are unaffected. *)
-            Gc.compact ();
+               of churn. A one-shard plan has no churn to reclaim, and
+               the forced collection there measurably raised the peak
+               RSS of the work that follows it. Results are
+               unaffected. *)
+            if nshards > 1 then Gc.compact ();
             (match on_shard with
             | Some f ->
                 f ~index:i ~shards:nshards ~built:(Option.is_none checkpointed)

@@ -5,105 +5,13 @@ type 'a artifact = {
   read : Codec.src -> 'a;
 }
 
-type 'a store =
-  | Uncached
-  | Keyed of { key : string; artifact : 'a artifact }
-  | Sized of {
-      key : string;
-      size : int;
-      artifact : 'a artifact;
-      shrink : (larger:int -> 'a -> 'a) option;
-      extend : (cached:int -> 'a -> 'a) option;
-    }
-  | Streamed of {
-      key : string;
-      size : int option;
-      artifact : 'a artifact;
-      stream : cache:Cache.t option -> telemetry:Telemetry.t -> jobs:int -> 'a;
-    }
-
 type 'a t = {
   name : string;
-  store : 'a store;
-  build : jobs:int -> 'a;
+  key : string;
+  size : int option;
+  artifact : 'a artifact;
+  build : cache:Cache.t option -> telemetry:Telemetry.t -> jobs:int -> 'a;
 }
-
-let uncached ~name build = { name; store = Uncached; build }
-
-let keyed ~name ~key ~artifact build =
-  { name; store = Keyed { key; artifact }; build }
-
-let sized ~name ~key ~size ~artifact ?shrink ?extend build =
-  { name; store = Sized { key; size; artifact; shrink; extend }; build }
-
-let streamed ~name ~key ?size ~artifact stream =
-  {
-    name;
-    store = Streamed { key; size; artifact; stream };
-    build = (fun ~jobs -> stream ~cache:None ~telemetry:Telemetry.null ~jobs);
-  }
-
-(* The three lookup ladders below reproduce the hand-wired PR-3 paths
-   byte for byte (including which probes count as cache misses): exact
-   size, then shrink-from-larger (derivable, so not re-stored), then
-   extend-largest-smaller (stored at the new size), then cold. *)
-
-let run_keyed c ~name ~jobs ~key ~artifact build set_source =
-  match Cache.find c ~stage:name ~key artifact.read with
-  | Some v ->
-      set_source "warm";
-      v
-  | None ->
-      let v = build ~jobs in
-      Cache.store c ~stage:name ~key (fun b -> artifact.write b v);
-      set_source "cold";
-      v
-
-let run_sized c ~name ~jobs ~key ~size:n ~artifact ~shrink ~extend build
-    set_source =
-  match Cache.find c ~stage:name ~key ~size:n artifact.read with
-  | Some v ->
-      set_source "warm";
-      v
-  | None -> (
-      let sizes = Cache.sizes c ~stage:name ~key in
-      let from_larger =
-        match shrink with
-        | None -> None
-        | Some shrink ->
-            List.filter (fun m -> m > n) sizes
-            |> List.find_map (fun m ->
-                   Option.map
-                     (fun v -> shrink ~larger:m v)
-                     (Cache.find c ~stage:name ~key ~size:m artifact.read))
-      in
-      match from_larger with
-      | Some v ->
-          set_source "prefix";
-          v
-      | None ->
-          let base =
-            match extend with
-            | None -> None
-            | Some extend ->
-                List.filter (fun m -> m < n) sizes
-                |> List.rev
-                |> List.find_map (fun m ->
-                       Option.map
-                         (fun v -> (fun () -> extend ~cached:m v))
-                         (Cache.find c ~stage:name ~key ~size:m artifact.read))
-          in
-          let v =
-            match base with
-            | Some grow ->
-                set_source "extended";
-                grow ()
-            | None ->
-                set_source "cold";
-                build ~jobs
-          in
-          Cache.store c ~stage:name ~key ~size:n (fun b -> artifact.write b v);
-          v)
 
 let run ?cache ?(telemetry = Telemetry.null) ?jobs t =
   let jobs =
@@ -115,33 +23,23 @@ let run ?cache ?(telemetry = Telemetry.null) ?jobs t =
       let stats0 = Option.map Cache.stats cache in
       let chunks0 = Parallel.chunks_scheduled () in
       let v =
-        match (t.store, cache) with
-        (* The streamed ladder: exact hit → resume from per-shard
-           checkpoints (inside [stream]) → cold. Threads cache and
-           telemetry into the fold even when the final artifact store
-           is absent, so a cacheless run still streams. *)
-        | Streamed { stream; _ }, None ->
+        match cache with
+        | None ->
             set_source "uncached";
-            stream ~cache:None ~telemetry ~jobs
-        | Streamed { key; size; artifact; stream }, Some c -> (
-            match Cache.find ?size c ~stage:t.name ~key artifact.read with
+            t.build ~cache ~telemetry ~jobs
+        | Some c -> (
+            match
+              Cache.find ?size:t.size c ~stage:t.name ~key:t.key t.artifact.read
+            with
             | Some v ->
                 set_source "warm";
                 v
             | None ->
-                let v = stream ~cache ~telemetry ~jobs in
-                Cache.store ?size c ~stage:t.name ~key (fun b ->
-                    artifact.write b v);
-                set_source "streamed";
+                let v = t.build ~cache ~telemetry ~jobs in
+                Cache.store ?size:t.size c ~stage:t.name ~key:t.key (fun b ->
+                    t.artifact.write b v);
+                set_source "cold";
                 v)
-        | Uncached, _ | _, None ->
-            set_source "uncached";
-            t.build ~jobs
-        | Keyed { key; artifact }, Some c ->
-            run_keyed c ~name:t.name ~jobs ~key ~artifact t.build set_source
-        | Sized { key; size; artifact; shrink; extend }, Some c ->
-            run_sized c ~name:t.name ~jobs ~key ~size ~artifact ~shrink ~extend
-              t.build set_source
       in
       (match (cache, stats0) with
       | Some c, Some s0 ->

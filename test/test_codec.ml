@@ -1,10 +1,12 @@
 (* Codec and warm-start cache tests: exact round-trips (qcheck over the
    primitives and real pipeline artifacts), the KB stats monoid/delta
-   property, corruption and stale-version fallback, and cold-vs-warm
-   pipeline equality. *)
+   property, corruption and stale-version fallback, cold-vs-warm
+   pipeline equality, and re-mining a warm cache at another
+   [min_support] without counting. *)
 
 module Codec = Zodiac_util.Codec
 module Cache = Zodiac_util.Cache
+module Telemetry = Zodiac_util.Telemetry
 module Generator = Zodiac_corpus.Generator
 module Kb = Zodiac_kb.Kb
 module Miner = Zodiac_mining.Miner
@@ -218,12 +220,12 @@ let test_cache_store () =
         (Cache.find c ~stage:"s" ~key:"k" Codec.read_int);
       Cache.store c ~stage:"s" ~key:"k" ~size:10 (fun b -> Codec.write_int b 10);
       Cache.store c ~stage:"s" ~key:"k" ~size:3 (fun b -> Codec.write_int b 3);
-      Alcotest.(check (list int))
-        "sizes sorted" [ 3; 10 ]
-        (Cache.sizes c ~stage:"s" ~key:"k");
       Alcotest.(check (option int))
         "sized entry" (Some 3)
         (Cache.find c ~stage:"s" ~key:"k" ~size:3 Codec.read_int);
+      Alcotest.(check (option int))
+        "sizes address distinct entries" (Some 10)
+        (Cache.find c ~stage:"s" ~key:"k" ~size:10 Codec.read_int);
       let s = Cache.stats c in
       Alcotest.(check int) "writes counted" 3 s.Cache.writes;
       (* corrupt every file on disk: every find must degrade to a miss *)
@@ -277,18 +279,59 @@ let test_pipeline_warm_equals_cold () =
         (warm.Pipeline.cache_stats.Cache.hits > 0);
       Alcotest.(check int)
         "warm run never missed" 0 warm.Pipeline.cache_stats.Cache.misses;
-      (* growing the corpus must extend the cached prefix and still match
-         a cold run at the larger size *)
+      (* a grown corpus is a new cache address: the run over the warm
+         cache must still match a cold run at the larger size *)
       let grown = { config with Pipeline.corpus_size = 75 } in
-      let inc = Pipeline.mine_only ~config:grown () in
+      let rebuilt = Pipeline.mine_only ~config:grown () in
       let cold75 =
         Pipeline.mine_only ~config:{ grown with Pipeline.cache_dir = None } ()
       in
       Alcotest.(check (list string))
-        "incremental candidate cids" (cids cold75) (cids inc);
+        "grown-corpus candidate cids" (cids cold75) (cids rebuilt);
       Alcotest.(check bool)
-        "incremental corpus bytes identical" true
-        (String.equal (corpus_bytes cold75) (corpus_bytes inc)))
+        "grown-corpus corpus bytes identical" true
+        (String.equal (corpus_bytes cold75) (corpus_bytes rebuilt)))
+
+(* Re-mining a warm cache at another [min_support] resumes the
+   miner-table checkpoint (which [min_support] does not key) instead of
+   counting, and still equals a cold run at that [min_support]. *)
+let test_remine_min_support () =
+  with_tmp_cache "zodiac-test-remine" (fun dir ->
+      let config =
+        {
+          Pipeline.default_config with
+          Pipeline.corpus_size = 60;
+          cache_dir = Some dir;
+        }
+      in
+      ignore (Pipeline.mine_only ~config ());
+      let remine =
+        {
+          config with
+          Pipeline.mining =
+            { config.Pipeline.mining with Miner.min_support = 7 };
+        }
+      in
+      let telemetry = Telemetry.create () in
+      let warm = Pipeline.mine_only ~config:remine ~telemetry () in
+      let total name =
+        Option.value ~default:0 (List.assoc_opt name (Telemetry.totals telemetry))
+      in
+      Alcotest.(check int) "no shard built" 0 (total "shard.built");
+      Alcotest.(check int) "mine checkpoint resumed" 1 (total "shard.resumed");
+      let cold =
+        Pipeline.mine_only ~config:{ remine with Pipeline.cache_dir = None } ()
+      in
+      let mined_bytes (a : Pipeline.artifacts) =
+        bytes_of (Codec.write_list Candidate.write) a.Pipeline.mined
+      in
+      Alcotest.(check bool)
+        "mined bytes equal a cold run" true
+        (String.equal (mined_bytes cold) (mined_bytes warm));
+      Alcotest.(check (list string))
+        "candidate cids"
+        (List.map (fun (c : Check.t) -> c.Check.cid) cold.Pipeline.candidates)
+        (List.map (fun (c : Check.t) -> c.Check.cid) warm.Pipeline.candidates))
 
 let () =
   Alcotest.run "codec"
@@ -316,5 +359,7 @@ let () =
         [
           Alcotest.test_case "cold = warm = incremental" `Slow
             test_pipeline_warm_equals_cold;
+          Alcotest.test_case "re-mine at another min_support" `Slow
+            test_remine_min_support;
         ] );
     ]

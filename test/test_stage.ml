@@ -1,5 +1,5 @@
-(* Stage-runner and telemetry tests: cold ≡ warm ≡ prefix ≡ extended ≡
-   uncached byte-equality through [Stage.run], the sinks-never-alter-
+(* Stage-runner and telemetry tests: cold ≡ warm ≡ uncached
+   byte-equality through [Stage.run], the sinks-never-alter-
    artifacts qcheck property, counter-total determinism across jobs,
    corruption fallback, and the result-returning error paths added for
    malformed user input. *)
@@ -32,8 +32,7 @@ let with_cache_dir name f =
   rm_rf dir;
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
-(* A toy sized stage over int lists: element [i] is [i * i], so any
-   prefix relation is easy to check and extension is exact. [builds]
+(* A toy sized stage over int lists: element [i] is [i * i]. [builds]
    counts cold builds so tests can tell which path ran. *)
 let int_list_artifact =
   {
@@ -41,16 +40,19 @@ let int_list_artifact =
     read = Codec.read_list Codec.read_int;
   }
 
-let squares ~lo ~hi = List.init (hi - lo) (fun i -> (lo + i) * (lo + i))
+let squares n = List.init n (fun i -> i * i)
 
 let toy_stage ?(builds = ref 0) n =
-  Stage.sized ~name:"toy" ~key:(Codec.fingerprint [ "toy"; "v1" ]) ~size:n
-    ~artifact:int_list_artifact
-    ~shrink:(fun ~larger:_ xs -> List.filteri (fun i _ -> i < n) xs)
-    ~extend:(fun ~cached prefix -> prefix @ squares ~lo:cached ~hi:n)
-    (fun ~jobs:_ ->
-      incr builds;
-      squares ~lo:0 ~hi:n)
+  {
+    Stage.name = "toy";
+    key = Codec.fingerprint [ "toy"; "v1" ];
+    size = Some n;
+    artifact = int_list_artifact;
+    build =
+      (fun ~cache:_ ~telemetry:_ ~jobs:_ ->
+        incr builds;
+        squares n);
+  }
 
 let bytes_of_ints xs =
   let b = Codec.sink () in
@@ -166,22 +168,16 @@ let test_runner_paths_byte_equal () =
       Alcotest.(check int) "cold built" 1 !builds;
       let warm = Stage.run ~cache (toy_stage ~builds 50) in
       Alcotest.(check int) "warm did not build" 1 !builds;
-      let extended = Stage.run ~cache (toy_stage ~builds 80) in
-      Alcotest.(check int) "extension did not build" 1 !builds;
-      let prefix = Stage.run ~cache (toy_stage ~builds 30) in
-      Alcotest.(check int) "prefix did not build" 1 !builds;
+      (* the size joins the address: another size is a fresh build *)
+      let grown = Stage.run ~cache (toy_stage ~builds 80) in
+      Alcotest.(check int) "another size built" 2 !builds;
       Alcotest.(check bool)
         "cold ≡ warm ≡ uncached" true
         (String.equal (bytes_of_ints cold) (bytes_of_ints warm)
         && String.equal (bytes_of_ints cold) (bytes_of_ints uncached));
       Alcotest.(check bool)
-        "extended ≡ cold at the larger size" true
-        (String.equal (bytes_of_ints extended)
-           (bytes_of_ints (squares ~lo:0 ~hi:80)));
-      Alcotest.(check bool)
-        "prefix ≡ cold at the smaller size" true
-        (String.equal (bytes_of_ints prefix)
-           (bytes_of_ints (squares ~lo:0 ~hi:30))))
+        "another size ≡ its own cold build" true
+        (String.equal (bytes_of_ints grown) (bytes_of_ints (squares 80))))
 
 let test_runner_source_notes () =
   with_cache_dir "zodiac-test-stage-notes" (fun dir ->
@@ -203,11 +199,8 @@ let test_runner_source_notes () =
         "second run -> warm" (Some "warm")
         (source_of (fun telemetry -> Stage.run ~cache ~telemetry (toy_stage 20)));
       Alcotest.(check (option string))
-        "grown -> extended" (Some "extended")
-        (source_of (fun telemetry -> Stage.run ~cache ~telemetry (toy_stage 33)));
-      Alcotest.(check (option string))
-        "shrunk -> prefix" (Some "prefix")
-        (source_of (fun telemetry -> Stage.run ~cache ~telemetry (toy_stage 10))))
+        "another size -> cold" (Some "cold")
+        (source_of (fun telemetry -> Stage.run ~cache ~telemetry (toy_stage 33))))
 
 let test_runner_cache_counters () =
   with_cache_dir "zodiac-test-stage-counters" (fun dir ->
@@ -265,7 +258,7 @@ let prop_sinks_never_alter_artifacts =
   QCheck.Test.make ~name:"telemetry sinks never alter artifacts" ~count:60
     QCheck.(pair (int_range 1 40) (int_range 0 5))
     (fun (n, sink_count) ->
-      let expected = bytes_of_ints (squares ~lo:0 ~hi:n) in
+      let expected = bytes_of_ints (squares n) in
       let seen = ref 0 in
       let sinks =
         List.init sink_count (fun i ->

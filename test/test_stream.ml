@@ -2,8 +2,9 @@
    shard-boundary invariance properties (fold at any shard size ≡
    monolithic, for corpus stats, the KB and every miner table family),
    checkpointed resume after a mid-run crash, corrupted-checkpoint
-   fallback, the [Stage.streamed] warm path, the bounded observation
-   table's grouping invariance past its cap, and the peak-RSS probe. *)
+   fallback, a stage whose build folds checkpointed shards, the bounded
+   observation table's grouping invariance past its cap, and the
+   peak-RSS probe. *)
 
 module Shard_stream = Zodiac_util.Shard_stream
 module Stage = Zodiac_util.Stage
@@ -192,43 +193,73 @@ let test_corrupt_checkpoint_fallback () =
         "rebuilt fold ≡ original" true
         (String.equal (stats_bytes reference) (stats_bytes rebuilt)))
 
-(* ------------- Stage.streamed ------------------------------------------- *)
+(* ------------- a stage whose build folds shards ------------------------ *)
 
+(* The build folds four-item shards through the cache [Stage.run] hands
+   it, so a cold run also leaves per-shard checkpoints behind. *)
 let streamed_stage ?(folds = ref 0) () =
-  Stage.streamed ~name:"toy-stream" ~key:(Codec.fingerprint [ "toy-stream" ])
-    ~artifact:
-      {
-        Stage.write = (fun b xs -> Codec.write_list Codec.write_int b xs);
-        read = Codec.read_list Codec.read_int;
-      }
-    (fun ~cache:_ ~telemetry:_ ~jobs:_ ->
-      incr folds;
-      List.init 10 (fun i -> i * i))
+  let int_list = Codec.read_list Codec.read_int in
+  let write_ints b xs = Codec.write_list Codec.write_int b xs in
+  {
+    Stage.name = "toy-stream";
+    key = Codec.fingerprint [ "toy-stream" ];
+    size = None;
+    artifact = { Stage.write = write_ints; read = int_list };
+    build =
+      (fun ~cache ~telemetry ~jobs:_ ->
+        incr folds;
+        fst
+          (Shard_stream.fold ?cache ~telemetry ~stage:"toy-shard"
+             ~key:"toy-shard" ~write:write_ints ~read:int_list
+             ~load:(fun ~lo ~hi -> List.init (hi - lo) (fun i -> lo + i))
+             ~count:(List.map (fun i -> i * i))
+             ~merge:(fun acc xs -> acc @ xs)
+             ~init:[] ~total:10 ~shard_size:4 ()));
+  }
 
 let test_stage_streamed_warm () =
   with_cache_dir "zodiac-test-stream-stage" (fun dir ->
       let cache = Cache.create ~dir () in
       let folds = ref 0 in
-      let source_of f =
+      let traced f =
         let t = Telemetry.create () in
         ignore (f t);
-        match Telemetry.spans t with
-        | [ s ] -> List.assoc_opt "source" s.Telemetry.notes
-        | _ -> None
+        t
+      in
+      let source_of f =
+        match Telemetry.spans (traced f) with
+        | s :: _ -> List.assoc_opt "source" s.Telemetry.notes
+        | [] -> None
       in
       Alcotest.(check (option string))
         "no cache -> uncached" (Some "uncached")
         (source_of (fun telemetry ->
              Stage.run ~telemetry (streamed_stage ~folds ())));
       Alcotest.(check (option string))
-        "first cached run -> streamed" (Some "streamed")
+        "first cached run -> cold" (Some "cold")
         (source_of (fun telemetry ->
              Stage.run ~cache ~telemetry (streamed_stage ~folds ())));
       Alcotest.(check (option string))
         "second cached run -> warm" (Some "warm")
         (source_of (fun telemetry ->
              Stage.run ~cache ~telemetry (streamed_stage ~folds ())));
-      Alcotest.(check int) "warm run did not fold" 2 !folds)
+      Alcotest.(check int) "warm run did not fold" 2 !folds;
+      (* without the final artifact, the build resumes every checkpoint
+         the cold run left and counts nothing *)
+      Array.iter
+        (fun f ->
+          if String.starts_with ~prefix:"toy-stream-" f then
+            Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
+      let t =
+        traced (fun telemetry ->
+            Stage.run ~cache ~telemetry (streamed_stage ~folds ()))
+      in
+      let total name =
+        Option.value ~default:0 (List.assoc_opt name (Telemetry.totals t))
+      in
+      Alcotest.(check int) "all shards resumed" 3 (total "shard.resumed");
+      Alcotest.(check int) "no shard rebuilt" 0 (total "shard.built"))
 
 (* ------------- bounded observation table -------------------------------- *)
 
