@@ -181,9 +181,10 @@ let cached_corpus ?cache ?telemetry config =
    ("shard-kb"/"shard-mine") keyed on corpus identity and range, never
    on [min_support]: a killed run resumes by re-counting only
    unfinished shards, and re-mining at another [min_support] counts
-   nothing. The final artifacts are byte-identical for every shard
-   size by the monoid contract, so every caller shares the "kb"/"mine"
-   addresses. *)
+   nothing. A one-shard KB fold without a fleet writes no checkpoint:
+   the final "kb" entry is the same statistics. The final artifacts
+   are byte-identical for every shard size by the monoid contract, so
+   every caller shares the "kb"/"mine" addresses. *)
 
 type mproc = {
   m_workers : int;
@@ -206,11 +207,11 @@ let no_fleet =
 
 (* [Shard_stream.fold] with the first shard's counted value as the
    accumulator, so a one-shard plan merges (and copies) nothing. *)
-let fold_shards ?cache ~telemetry ?on_shard ~stage ~key ~write ~read ~load
-    ~count ~merge ~total ~shard_size () =
+let fold_shards ?cache ~telemetry ?on_shard ?checkpoint ~stage ~key ~write
+    ~read ~load ~count ~merge ~total ~shard_size () =
   let acc, outcome =
-    Shard_stream.fold ?cache ~telemetry ?on_shard ~stage ~key ~write ~read
-      ~load ~count
+    Shard_stream.fold ?cache ~telemetry ?on_shard ?checkpoint ~stage ~key
+      ~write ~read ~load ~count
       ~merge:(fun acc v ->
         Some (match acc with None -> v | Some a -> merge a v))
       ~init:None ~total ~shard_size ()
@@ -220,8 +221,7 @@ let fold_shards ?cache ~telemetry ?on_shard ~stage ~key ~write ~read ~load
 (* Each pass returns its artifact, its fold accounting
    ([Shard_stream.no_shards] on a warm hit) and what [fleet] reported.
    [fleet] runs before the fold, so never on a warm hit. *)
-let kb_pass ?cache ~telemetry ?(fleet = fun ~telemetry:_ -> no_fleet)
-    ?on_shard config ~load ~shard_size =
+let kb_pass ?cache ~telemetry ?fleet ?on_shard config ~load ~shard_size =
   let fold = ref Shard_stream.no_shards and mproc = ref no_fleet in
   let key = corpus_key config in
   let stats =
@@ -233,10 +233,21 @@ let kb_pass ?cache ~telemetry ?(fleet = fun ~telemetry:_ -> no_fleet)
         artifact = Kb.stats_artifact;
         build =
           (fun ~cache ~telemetry ~jobs ->
-            mproc := fleet ~telemetry;
+            (* The final "kb" entry stores the same statistics a
+               one-shard plan's checkpoint would, so without a fleet
+               (whose workers resume from checkpoints) that checkpoint
+               is not written. *)
+            let checkpoint =
+              Option.is_some fleet
+              || List.length
+                   (Shard_stream.plan ~total:config.corpus_size ~shard_size)
+                 > 1
+            in
+            Option.iter (fun fleet -> mproc := fleet ~telemetry) fleet;
             let stats, outcome =
-              fold_shards ?cache ~telemetry ?on_shard ~stage:"shard-kb" ~key
-                ~write:Kb.write_stats ~read:Kb.read_stats ~load
+              fold_shards ?cache ~telemetry ?on_shard ~checkpoint
+                ~stage:"shard-kb" ~key ~write:Kb.write_stats
+                ~read:Kb.read_stats ~load
                 ~count:(Kb.stats_of_projects ~jobs) ~merge:Kb.merge_stats
                 ~total:config.corpus_size ~shard_size ()
             in

@@ -47,6 +47,8 @@ let build prog =
 
 let program t = t.prog
 
+let with_program t prog = { t with prog }
+
 let edges t = t.all_edges
 
 let nodes t = List.map Resource.id (Program.resources t.prog)

@@ -29,6 +29,13 @@ val build : Program.t -> t
 (** Derive the graph; dangling references produce no edge. *)
 
 val program : t -> Program.t
+
+val with_program : t -> Program.t -> t
+(** [with_program g p] is [g]'s edges over [p], without rebuilding
+    them. Equal to [build p] only when [p] has the resources and the
+    references of [program g] (same ids, same reference paths in the
+    same order); the caller must know that it does. *)
+
 val edges : t -> edge list
 val nodes : t -> Resource.id list
 

@@ -79,125 +79,170 @@ let value s v = s.values.(v)
 let cost s = s.total_cost
 let violated_soft s = s.violated
 
-exception Found_infeasible
-
 exception Good_enough
+
+(* Index tuples hashed over every position ([Hashtbl.hash] reads only
+   the first ten, so long tuples differing further on would collide). *)
+module Tuple_table = Hashtbl.Make (struct
+  type t = int array
+
+  let equal = ( = )
+  let hash = Array.fold_left (fun h i -> (h * 31) + i) 0
+end)
+
+(* A constraint's verdict per tuple of its scope's domain indices,
+   keyed by the tuple read as a mixed-radix integer; a tuple space too
+   large for an int is keyed by the index tuple itself. *)
+type memo = Radix of (int, bool) Hashtbl.t | Tuple of bool Tuple_table.t
+
+type scoped = {
+  c : constraint_;
+  vars : var array;  (* distinct scope variables, first occurrence order *)
+  memo : memo;
+  mutable verdict : bool;  (* last decided verdict on the current path *)
+}
 
 let solve ?(node_budget = 200_000) ?(good_enough = min_int) p =
   p.nodes <- 0;
   let n = p.nvars in
   let assignment = Array.make (max n 1) Value.Null in
-  let assigned = Array.make (max n 1) false in
-  let lookup v =
-    if assigned.(v) then assignment.(v) else raise Found_infeasible
+  let index = Array.make (max n 1) 0 in
+  let lookup v = assignment.(v) in
+  (* Variable order is static: the assigned set at depth d is always
+     the first d variables by (priority, domain size, index). *)
+  let order =
+    List.init n Fun.id
+    |> List.stable_sort (fun a b ->
+           compare
+             (p.priorities.(a), Array.length p.domains.(a))
+             (p.priorities.(b), Array.length p.domains.(b)))
+    |> Array.of_list
   in
-  (* A constraint is decided when all scope vars are assigned. *)
-  let check_decided c =
-    match c.pred lookup with
-    | ok -> Some ok
-    | exception Found_infeasible -> None
+  let depth_of = Array.make (max n 1) 0 in
+  Array.iteri (fun d v -> depth_of.(v) <- d) order;
+  (* Values cheapest first, each with its domain index. *)
+  let values =
+    Array.init n (fun v ->
+        Array.to_list p.domains.(v)
+        |> List.mapi (fun i value -> (p.value_costs.(v) value, value, i))
+        |> List.stable_sort (fun (c1, _, _) (c2, _, _) -> Int.compare c1 c2)
+        |> Array.of_list)
   in
-  let constraints = Array.of_list (List.rev p.constraints) in
-  (* Per-variable constraint index for quick relevance tests. *)
-  let relevant = Array.make (max n 1) [] in
-  Array.iter
-    (fun c -> List.iter (fun v -> relevant.(v) <- c :: relevant.(v)) c.scope)
+  let scoped c =
+    let vars =
+      List.fold_left (fun acc v -> if List.mem v acc then acc else v :: acc) [] c.scope
+      |> List.rev |> Array.of_list
+    in
+    let fits =
+      Array.fold_left
+        (fun acc v ->
+          let size = Array.length p.domains.(v) in
+          if acc < 0 || acc > max_int / size then -1 else acc * size)
+        1 vars
+      >= 0
+    in
+    let memo = if fits then Radix (Hashtbl.create 16) else Tuple (Tuple_table.create 16) in
+    { c; vars; memo; verdict = true }
+  in
+  let memoized find add table key s =
+    match find table key with
+    | ok -> ok
+    | exception Not_found ->
+        let ok = s.c.pred lookup in
+        add table key ok;
+        ok
+  in
+  let decide s =
+    match s.memo with
+    | Radix table ->
+        memoized Hashtbl.find Hashtbl.add table
+          (Array.fold_left
+             (fun acc v -> (acc * Array.length p.domains.(v)) + index.(v))
+             0 s.vars)
+          s
+    | Tuple table ->
+        memoized Tuple_table.find Tuple_table.add table
+          (Array.map (fun v -> index.(v)) s.vars)
+          s
+  in
+  let constraints = List.rev_map scoped p.constraints in
+  (* A constraint is decided at the depth of its deepest scope variable;
+     a soft one is charged its weight once per occurrence of that
+     variable in its scope. Empty-scope constraints are decided at
+     complete assignments only. *)
+  let hard_at = Array.make (max n 1) [] in
+  let soft_at = Array.make (max n 1) [] in
+  let leaf_hard = ref [] in
+  let nonneg = ref true in
+  List.iter
+    (fun s ->
+      match s.c.scope with
+      | [] -> if s.c.weight = None then leaf_hard := s :: !leaf_hard
+      | scope -> (
+          let d = Array.fold_left (fun acc v -> max acc depth_of.(v)) 0 s.vars in
+          let last = order.(d) in
+          let mult = List.length (List.filter (fun v -> v = last) scope) in
+          match s.c.weight with
+          | None -> hard_at.(d) <- s :: hard_at.(d)
+          | Some w ->
+              if w < 0 then nonneg := false;
+              soft_at.(d) <- (s, w * mult) :: soft_at.(d)))
     constraints;
+  let hard_at = Array.map (fun l -> Array.of_list (List.rev l)) hard_at in
+  let soft_at = Array.map (fun l -> Array.of_list (List.rev l)) soft_at in
+  let leaf_hard = List.rev !leaf_hard in
+  let softs = List.filter (fun s -> s.c.weight <> None) constraints in
+  let nonneg = !nonneg in
   let best : solution option ref = ref None in
-  let best_cost () = match !best with Some s -> s.total_cost | None -> max_int in
-  (* Penalty of soft constraints already fully decided + value costs of
-     assigned vars — a monotone lower bound on any completion. *)
+  let best_cost = ref max_int in
+  let leaf lower_bound =
+    if List.for_all decide leaf_hard then begin
+      let violated =
+        List.filter_map
+          (fun s ->
+            let ok = if s.c.scope = [] then decide s else s.verdict in
+            if ok then None else Some s.c.cname)
+          softs
+      in
+      best := Some { values = Array.copy assignment; total_cost = lower_bound; violated };
+      best_cost := lower_bound;
+      if lower_bound <= good_enough then raise Good_enough
+    end
+  in
   let rec search depth lower_bound =
     if p.nodes < node_budget then begin
       p.nodes <- p.nodes + 1;
-      if lower_bound < best_cost () then begin
-        (* pick the unassigned var with the lowest priority class,
-           breaking ties by smallest domain (variables constrained by
-           the problem's focus come first, avoiding thrash on unrelated
-           variables deep in the tree) *)
-        let pick = ref (-1) in
-        let pick_key = ref (max_int, max_int) in
-        for v = 0 to n - 1 do
-          if not assigned.(v) then begin
-            let key = (p.priorities.(v), Array.length p.domains.(v)) in
-            if key < !pick_key then begin
-              pick := v;
-              pick_key := key
-            end
-          end
-        done;
-        if !pick < 0 then begin
-          (* complete assignment *)
-          let violated =
-            Array.to_list constraints
-            |> List.filter_map (fun c ->
-                   match (c.weight, check_decided c) with
-                   | Some _, Some false -> Some c.cname
-                   | _ -> None)
-          in
-          if
-            Array.for_all
-              (fun c ->
-                match (c.weight, check_decided c) with
-                | None, Some ok -> ok
-                | None, None -> false
-                | Some _, _ -> true)
-              constraints
-          then begin
-            let total = lower_bound in
-            if total < best_cost () then begin
-              best :=
-                Some { values = Array.copy assignment; total_cost = total; violated };
-              if total <= good_enough then raise Good_enough
-            end
-          end
-        end
+      if lower_bound < !best_cost then
+        if depth = n then leaf lower_bound
         else begin
-          let v = !pick in
-          (* order values by their cost, cheapest first *)
-          let values =
-            Array.to_list p.domains.(v)
-            |> List.map (fun value -> (p.value_costs.(v) value, value))
-            |> List.stable_sort (fun (c1, _) (c2, _) -> Int.compare c1 c2)
-          in
-          List.iter
-            (fun (vcost, value) ->
-              assignment.(v) <- value;
-              assigned.(v) <- true;
-              (* consistency of newly decided constraints + new penalty *)
-              let feasible = ref true in
-              let penalty = ref 0 in
-              List.iter
-                (fun c ->
-                  if List.for_all (fun w -> assigned.(w)) c.scope then
-                    (* newly decided iff v is the last assigned in scope *)
-                    match check_decided c with
-                    | Some ok ->
-                        if not ok then begin
-                          match c.weight with
-                          | None -> feasible := false
-                          | Some w ->
-                              (* charge only when v completes the scope *)
-                              let completes =
-                                List.for_all
-                                  (fun w' -> w' = v || assigned.(w'))
-                                  c.scope
-                              in
-                              if completes then penalty := !penalty + w
-                        end
-                    | None -> ())
-                (List.filter
-                   (fun c ->
-                     (* decided now, and v is in scope (so decided by this
-                        assignment, not earlier) *)
-                     List.mem v c.scope
-                     && List.for_all (fun w -> assigned.(w)) c.scope)
-                   relevant.(v));
-              if !feasible then search (depth + 1) (lower_bound + vcost + !penalty);
-              assigned.(v) <- false)
-            values
+          let v = order.(depth) in
+          let vals = values.(v) in
+          let hard = hard_at.(depth) and soft = soft_at.(depth) in
+          let k = ref 0 in
+          (* once the budget is spent every further child is a no-op *)
+          while !k < Array.length vals && p.nodes < node_budget do
+            let vcost, value, i = vals.(!k) in
+            assignment.(v) <- value;
+            index.(v) <- i;
+            if Array.for_all decide hard then begin
+              let bound = lower_bound + vcost in
+              (* with non-negative weights a child already at the best
+                 cost prunes on entry, so its soft verdicts are unused *)
+              if nonneg && bound >= !best_cost then search (depth + 1) bound
+              else begin
+                let penalty = ref 0 in
+                Array.iter
+                  (fun (s, w) ->
+                    let ok = decide s in
+                    s.verdict <- ok;
+                    if not ok then penalty := !penalty + w)
+                  soft;
+                search (depth + 1) (bound + !penalty)
+              end
+            end;
+            incr k
+          done
         end
-      end
     end
   in
   (try search 0 0 with Good_enough -> ());

@@ -10,10 +10,22 @@
     checks in [R_c] that may be collaterally violated, and per-value
     costs implement change minimization (prefer the original value).
 
-    Constraints are extensional predicates over declared variable
-    scopes; the solver performs backtracking search with
-    smallest-domain-first ordering, forward checking on unit
-    constraints, and branch-and-bound on the accumulated penalty. *)
+    Constraints are predicates over declared variable scopes. The
+    solver runs a depth-first branch-and-bound search in a fixed
+    variable order (priority class, then smallest domain, then lowest
+    index), trying each variable's values cheapest first. A constraint
+    is decided once, at the depth of the last of its scope variables
+    in that order: a violated hard constraint prunes the branch, a
+    violated soft one adds its weight (once per occurrence of that
+    variable in the scope) to the lower bound, and a branch whose
+    bound reaches the best cost found so far is cut. Constraints with
+    an empty scope are decided at complete assignments only. There is
+    no propagation to unassigned variables.
+
+    {b Predicate contract.} A predicate may read only the variables of
+    its own scope, and must be a pure function of their values. The
+    solver memoizes each verdict per tuple of scope values, so a
+    predicate runs at most once per scope tuple per {!solve}. *)
 
 type problem
 type var
@@ -39,8 +51,8 @@ val set_priority : problem -> var -> int -> unit
 val add_hard :
   problem -> name:string -> var list -> ((var -> Zodiac_iac.Value.t) -> bool) -> unit
 (** A hard constraint over the given scope. The predicate is consulted
-    once every scope variable is assigned (and for pruning when exactly
-    one remains free). *)
+    once every scope variable is assigned, and only with lookups of
+    scope variables (see the predicate contract above). *)
 
 val add_soft :
   problem ->

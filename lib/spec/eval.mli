@@ -24,6 +24,16 @@ type stats = {
 
 val no_defaults : defaults
 
+type compiled
+(** A check with its attribute paths parsed, indices stripped and index
+    variables resolved to the endpoints they range over. Every
+    evaluation runs on this form. *)
+
+val compile : Check.t -> compiled
+
+val holds_compiled : ?defaults:defaults -> Zodiac_iac.Graph.t -> compiled -> bool
+(** {!holds} for a check compiled once and evaluated on many graphs. *)
+
 val term_value :
   ?defaults:defaults ->
   Zodiac_iac.Graph.t ->
@@ -32,7 +42,8 @@ val term_value :
   Check.term ->
   Zodiac_iac.Value.t
 (** Evaluate a term under an assignment and index environment. Missing
-    attributes evaluate to [Null]. *)
+    attributes evaluate to [Null]. Compiles the term on every call: for
+    diagnosis, not for hot loops. *)
 
 val eval_expr :
   ?defaults:defaults ->
@@ -46,7 +57,9 @@ val stats : ?defaults:defaults -> Zodiac_iac.Graph.t -> Check.t -> stats
 
 val holds : ?defaults:defaults -> Zodiac_iac.Graph.t -> Check.t -> bool
 (** No violating instance exists. Vacuously true when the condition
-    never fires. *)
+    never fires. Stops at the first violating instance; a check is
+    compiled only when it has at least one assignment, as in every
+    function below. *)
 
 val occurrences : ?defaults:defaults -> Zodiac_iac.Graph.t -> Check.t -> int
 

@@ -22,8 +22,8 @@ let shard_key ~key ~lo ~hi =
 let claim_name ~stage ~key ~lo ~hi =
   Printf.sprintf "%s-%s" stage (shard_key ~key ~lo ~hi)
 
-let fold ?cache ?(telemetry = Telemetry.null) ?on_shard ~stage ~key ~write
-    ~read ~load ~count ~merge ~init ~total ~shard_size () =
+let fold ?cache ?(telemetry = Telemetry.null) ?on_shard ?(checkpoint = true)
+    ~stage ~key ~write ~read ~load ~count ~merge ~init ~total ~shard_size () =
   let shards = plan ~total ~shard_size in
   Telemetry.with_span telemetry "shard.fold" (fun () ->
       let nshards = List.length shards in
@@ -42,10 +42,11 @@ let fold ?cache ?(telemetry = Telemetry.null) ?on_shard ~stage ~key ~write
                   v
               | None ->
                   let v = count (load ~lo ~hi) in
-                  Option.iter
-                    (fun c ->
-                      Cache.store c ~stage ~key:ckey (fun b -> write b v))
-                    cache;
+                  if checkpoint then
+                    Option.iter
+                      (fun c ->
+                        Cache.store c ~stage ~key:ckey (fun b -> write b v))
+                      cache;
                   incr built;
                   Telemetry.count telemetry "shard.items" (hi - lo);
                   v

@@ -52,6 +52,7 @@ val fold :
   ?cache:Cache.t ->
   ?telemetry:Telemetry.t ->
   ?on_shard:(index:int -> shards:int -> built:bool -> unit) ->
+  ?checkpoint:bool ->
   stage:string ->
   key:string ->
   write:(Codec.sink -> 'b -> unit) ->
@@ -76,7 +77,12 @@ val fold :
     rebuilt shards) inside a [shard.fold] span. Without a [cache] the
     fold still streams (bounded memory) but nothing checkpoints.
     [on_shard] fires after each shard merges (with [built = false] for
-    a checkpoint resume) — a progress hook, never part of results. *)
+    a checkpoint resume) — a progress hook, never part of results.
+
+    [checkpoint] (default [true]) stores each rebuilt shard. With
+    [false] existing checkpoints are still resumed but none is written:
+    for a caller that stores the folded result itself, where a
+    one-shard plan's checkpoint would be a second copy of it. *)
 
 type worker_outcome = {
   w_claimed : int;  (** shards this worker won a claim for *)

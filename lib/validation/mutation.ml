@@ -572,11 +572,30 @@ let slots_of_check prog (check : Check.t) =
             (Program.resources prog))
     endpoints
 
-let relevant_check prog (check : Check.t) =
-  let types = Program.types prog in
+let relevant_check types (check : Check.t) =
   List.for_all
     (fun (b : Check.binding) -> List.mem b.Check.btype types)
     check.Check.bindings
+
+(* Writing any of [values] into [slot] leaves the program's references,
+   hence its graph's edges, as they were: the write rebuilds only the
+   slot's top-level attribute (its collection element, for [Elem]), and
+   neither that nor any written value holds a reference. *)
+let write_keeps_edges prog slot values =
+  let no_ref v = Value.refs v = [] in
+  let rebuilt =
+    match (slot, Program.find prog (slot_resource slot)) with
+    | _, None -> Value.Null
+    | Flat (_, path), Some r -> (
+        match String.split_on_char '.' path with
+        | seg :: _ -> Option.value ~default:Value.Null (Resource.attr r seg)
+        | [] -> Value.Null)
+    | Elem (_, coll, i, _), Some r -> (
+        match Resource.attr r coll with
+        | Some (Value.List items) when i < List.length items -> List.nth items i
+        | _ -> Value.Null)
+  in
+  no_ref rebuilt && List.for_all no_ref values
 
 let dedup_slots slots =
   List.fold_left (fun acc s -> if List.mem s acc then acc else acc @ [ s ]) [] slots
@@ -588,8 +607,9 @@ let negative ?(options = default_options) ~provider ~kb ~donors ~target ~hard
   match plan_additions ~provider ~kb ~donors tp target with
   | None -> None
   | Some { new_program = base; added } -> (
-      let hard = List.filter (relevant_check base) hard in
-      let soft = List.filter (relevant_check base) soft in
+      let types = Program.types base in
+      let hard = List.filter (relevant_check types) hard in
+      let soft = List.filter (relevant_check types) soft in
       (* Bound the soft encoding: beyond a few dozen checks the solver
          spends its budget scoring rather than searching. Checks that
          constrain the freshly-added resources come first — they are the
@@ -691,34 +711,30 @@ let negative ?(options = default_options) ~provider ~kb ~donors ~target ~hard
               Option.map (fun var -> (slot, var)) (List.assoc_opt slot vars))
             check_slots
         in
-        let eval_scoped scoped assignment_fn check =
-          let prog =
-            List.fold_left
-              (fun prog (slot, var) ->
-                match assignment_fn var with
-                | v -> write_slot prog slot v
-                | exception _ -> prog)
-              base scoped
-          in
-          Eval.holds ~defaults (Graph.build prog) check
-        in
+        (* The solver memoizes each verdict per scope tuple, so a
+           predicate runs once per tuple: it writes its scoped slots and
+           evaluates the compiled check. When no write can touch a
+           reference, the base graph's edges serve the written program. *)
+        let base_graph = Graph.build base in
         let add_constraint ~hard:is_hard name check ~negate =
           let scoped = scoped_slots check in
           let scope = List.map snd scoped in
-          (* Search revisits the same scope assignments constantly;
-             memoize the verdict per value tuple. *)
-          let memo : (Value.t list, bool) Hashtbl.t = Hashtbl.create 64 in
+          let compiled = Eval.compile check in
+          let keeps_edges =
+            List.for_all
+              (fun (slot, var) -> write_keeps_edges base slot (Csp.domain problem var))
+              scoped
+          in
           let pred lookup =
-            let key = List.map (fun (_, var) -> lookup var) scoped in
-            let holds =
-              match Hashtbl.find_opt memo key with
-              | Some h -> h
-              | None ->
-                  let h = eval_scoped scoped lookup check in
-                  Hashtbl.replace memo key h;
-                  h
+            let prog =
+              List.fold_left
+                (fun prog (slot, var) -> write_slot prog slot (lookup var))
+                base scoped
             in
-            if negate then not holds else holds
+            let graph =
+              if keeps_edges then Graph.with_program base_graph prog else Graph.build prog
+            in
+            Eval.holds_compiled ~defaults graph compiled <> negate
           in
           if is_hard then Csp.add_hard problem ~name scope pred
           else Csp.add_soft problem ~name ~weight:10 scope pred

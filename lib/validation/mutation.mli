@@ -50,3 +50,25 @@ val negative :
   soft:Zodiac_spec.Check.t list ->
   Testcase.tp ->
   result option
+
+(** {2 Slot writes}
+
+    A slot is one mutable position of a program. The solver's
+    predicates write their slots into the base program and, when
+    {!write_keeps_edges} admits every value they can write, evaluate on
+    the base graph's edges instead of rebuilding the graph. Exposed for
+    the equivalence tests. *)
+
+type slot =
+  | Flat of Zodiac_iac.Resource.id * string  (** a dotted attribute path *)
+  | Elem of Zodiac_iac.Resource.id * string * int * string
+      (** [Elem (r, coll, i, sub)]: field [sub] of element [i] of the
+          repeated block [coll] *)
+
+val write_slot : Zodiac_iac.Program.t -> slot -> Zodiac_iac.Value.t -> Zodiac_iac.Program.t
+
+val write_keeps_edges : Zodiac_iac.Program.t -> slot -> Zodiac_iac.Value.t list -> bool
+(** Writing any of the values into the slot leaves the program's
+    references, hence [Graph.edges], unchanged: neither the values nor
+    the part of the resource the write rebuilds (the slot's top-level
+    attribute; for [Elem], the collection element) holds a reference. *)

@@ -86,9 +86,7 @@ type state = {
   index : Testcase.index;
 }
 
-let cids checks = List.map (fun (c : Check.t) -> c.Check.cid) checks
-
-let find_tps st ~provider ~corpus:_ ~limit (c : Check.t) =
+let find_tps st ~provider ~limit (c : Check.t) =
   match Hashtbl.find_opt st.tp_cache c.Check.cid with
   | Some tps -> tps
   | None ->
@@ -101,9 +99,6 @@ let remove_from_rc st cid =
 
 let in_rc st (c : Check.t) =
   List.exists (fun (c' : Check.t) -> String.equal c'.Check.cid c.Check.cid) st.rc
-
-let mutate _st ~provider ~kb ~donors ~target ~hard ~soft tp =
-  Mutation.negative ~provider ~kb ~donors ~target ~hard ~soft tp
 
 (* Warm the t_p cache for [checks]: the misses are computed in parallel
    (index search is pure) and committed sequentially, after which
@@ -124,26 +119,31 @@ let ensure_tps ?jobs st ~provider ~limit checks =
     missing found
 
 (* Union-find style grouping of mutually-inseparable checks. *)
-let compute_groups ?jobs st ~provider ~kb ~donors ~corpus ~tp_limit =
+let compute_groups ?jobs st ~provider ~kb ~donors ~tp_limit =
   ensure_tps ?jobs st ~provider ~limit:tp_limit st.rc;
   let rn_of (c : Check.t) =
-    match find_tps st ~provider ~corpus ~limit:tp_limit c with
+    match find_tps st ~provider ~limit:tp_limit c with
     | [] -> []
     | tp :: _ -> (
         let soft =
           List.filter (fun (c' : Check.t) -> not (String.equal c'.Check.cid c.Check.cid)) st.rc
         in
-        match mutate st ~provider ~kb ~donors ~target:c ~hard:st.rv ~soft tp with
+        match Mutation.negative ~provider ~kb ~donors ~target:c ~hard:st.rv ~soft tp with
         | None -> []
         | Some res -> c.Check.cid :: res.Mutation.violated_soft)
   in
   let rns =
     Parallel.map ?jobs (fun (c : Check.t) -> (c.Check.cid, rn_of c)) st.rc
   in
+  (* the first binding of a cid wins, as with an association list *)
+  let rn_table = Hashtbl.create (List.length rns) in
+  List.iter
+    (fun (cid, rn) -> if not (Hashtbl.mem rn_table cid) then Hashtbl.add rn_table cid rn)
+    rns;
+  let rn_for (c : Check.t) =
+    Option.value ~default:[] (Hashtbl.find_opt rn_table c.Check.cid)
+  in
   let mutual (c1 : Check.t) (c2 : Check.t) =
-    let rn_for (c : Check.t) =
-      Option.value ~default:[] (List.assoc_opt c.Check.cid rns)
-    in
     List.mem c2.Check.cid (rn_for c1) && List.mem c1.Check.cid (rn_for c2)
   in
   (* build candidate groups by transitive closure of mutuality *)
@@ -185,12 +185,12 @@ let compute_groups ?jobs st ~provider ~kb ~donors ~corpus ~tp_limit =
               List.exists
                 (fun tp ->
                   match
-                    mutate st ~provider ~kb ~donors ~target:c
+                    Mutation.negative ~provider ~kb ~donors ~target:c
                       ~hard:(st.rv @ others) ~soft:[] tp
                   with
                   | Some _ -> true
                   | None -> false)
-                (find_tps st ~provider ~corpus ~limit:tp_limit c)
+                (find_tps st ~provider ~limit:tp_limit c)
             in
             not separable)
           group)
@@ -260,7 +260,7 @@ let run ?(config = default_config) ?(telemetry = Telemetry.null) ?jobs
     let plans =
       Parallel.map ?jobs
         (fun (c : Check.t) ->
-          match find_tps st ~provider ~corpus ~limit:config.tp_limit c with
+          match find_tps st ~provider ~limit:config.tp_limit c with
           | [] -> No_instance
           | tps -> (
               let soft =
@@ -271,7 +271,7 @@ let run ?(config = default_config) ?(telemetry = Telemetry.null) ?jobs
               let results =
                 List.filter_map
                   (fun tp ->
-                    mutate st ~provider ~kb ~donors ~target:c ~hard:rv0 ~soft tp)
+                    Mutation.negative ~provider ~kb ~donors ~target:c ~hard:rv0 ~soft tp)
                   tps
               in
               match results with [] -> Unsat | res :: _ -> Planned res))
@@ -335,8 +335,7 @@ let run ?(config = default_config) ?(telemetry = Telemetry.null) ?jobs
     (* ---- indistinguishable groups (O3) ---- *)
     let groups =
       if config.handle_indistinct then
-        compute_groups ?jobs st ~provider ~kb ~donors ~corpus
-          ~tp_limit:config.tp_limit
+        compute_groups ?jobs st ~provider ~kb ~donors ~tp_limit:config.tp_limit
       else []
     in
     let group_of (cid : string) =
@@ -351,7 +350,7 @@ let run ?(config = default_config) ?(telemetry = Telemetry.null) ?jobs
     let plans =
       Parallel.map ?jobs
         (fun (c : Check.t) ->
-          match find_tps st ~provider ~corpus ~limit:config.tp_limit c with
+          match find_tps st ~provider ~limit:config.tp_limit c with
           | [] -> None
           | tp :: _ ->
               let soft =
@@ -359,7 +358,7 @@ let run ?(config = default_config) ?(telemetry = Telemetry.null) ?jobs
                   (fun (c' : Check.t) -> not (String.equal c'.Check.cid c.Check.cid))
                   rc1
               in
-              mutate st ~provider ~kb ~donors ~target:c ~hard:rv1 ~soft tp)
+              Mutation.negative ~provider ~kb ~donors ~target:c ~hard:rv1 ~soft tp)
         rc1
     in
     let to_deploy =
@@ -452,18 +451,19 @@ let run ?(config = default_config) ?(telemetry = Telemetry.null) ?jobs
 let counterexample_pass ?jobs ~provider ~corpus ~deploy validated =
   let defaults = Arm.defaults provider in
   (* Pure phase, fanned out per check: collect the corpus programs whose
-     minimal deployable counterexample still violates the check. *)
+     minimal deployable counterexample still violates the check. Graphs
+     are immutable, so every check reads the same corpus graphs. *)
+  let graphs = List.map (fun (_, prog) -> (prog, Graph.build prog)) corpus in
   let mdcs_of (c : Check.t) =
     List.filter_map
-      (fun (_, prog) ->
-        let graph = Graph.build prog in
+      (fun (prog, graph) ->
         match Eval.violations ~defaults graph c with
         | [] -> None
         | violation :: _ ->
             let mdc = Mdc.prune prog ~keep:(List.map snd violation) in
             let mdc_graph = Graph.build mdc in
             if Eval.holds ~defaults mdc_graph c then None else Some mdc)
-      corpus
+      graphs
   in
   let candidates = Parallel.map ?jobs mdcs_of validated in
   (* Deploy phase, sequential with the same early exit as a fully
@@ -475,6 +475,3 @@ let counterexample_pass ?jobs ~provider ~corpus ~deploy validated =
       (List.combine validated candidates)
   in
   (List.map fst kept, List.map fst exposed)
-
-(* silence unused-warning for cids helper kept for debugging *)
-let _ = cids

@@ -333,6 +333,41 @@ let test_remine_min_support () =
         (List.map (fun (c : Check.t) -> c.Check.cid) cold.Pipeline.candidates)
         (List.map (fun (c : Check.t) -> c.Check.cid) warm.Pipeline.candidates))
 
+(* A cold cached run mines its corpus as one shard; the final "kb"
+   entry then holds the KB statistics, and no "shard-kb" checkpoint
+   duplicates it. Warm runs still load every artifact byte for byte. *)
+let test_kb_stats_stored_once () =
+  with_tmp_cache "zodiac-test-kb-once" (fun dir ->
+      let config =
+        {
+          Pipeline.default_config with
+          Pipeline.corpus_size = 60;
+          cache_dir = Some dir;
+        }
+      in
+      let artifact_bytes (a : Pipeline.artifacts) =
+        ( (Kb.size a.Pipeline.kb, Kb.conn_kinds a.Pipeline.kb),
+          bytes_of (Codec.write_list Candidate.write) a.Pipeline.mined,
+          List.map (fun (c : Check.t) -> c.Check.cid) a.Pipeline.candidates )
+      in
+      let cold = Pipeline.mine_only ~config () in
+      let entries prefix =
+        List.length
+          (List.filter (String.starts_with ~prefix) (Array.to_list (Sys.readdir dir)))
+      in
+      Alcotest.(check int) "one final kb entry" 1 (entries "kb-");
+      Alcotest.(check int) "no shard-kb checkpoint" 0 (entries "shard-kb-");
+      Alcotest.(check int) "shard-mine checkpoint kept" 1 (entries "shard-mine-");
+      let warm = Pipeline.mine_only ~config () in
+      let again = Pipeline.mine_only ~config () in
+      Alcotest.(check bool)
+        "warm = cold bytes" true
+        (artifact_bytes cold = artifact_bytes warm);
+      Alcotest.(check bool)
+        "second warm = cold bytes" true
+        (artifact_bytes cold = artifact_bytes again);
+      Alcotest.(check int) "warm run never missed" 0 again.Pipeline.cache_stats.Cache.misses)
+
 let () =
   Alcotest.run "codec"
     [
@@ -361,5 +396,7 @@ let () =
             test_pipeline_warm_equals_cold;
           Alcotest.test_case "re-mine at another min_support" `Slow
             test_remine_min_support;
+          Alcotest.test_case "kb statistics stored once" `Slow
+            test_kb_stats_stored_once;
         ] );
     ]
